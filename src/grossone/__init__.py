@@ -11,23 +11,18 @@ from .gnum import (
     NumberClass,
     Parity,
     Rational,
-    classify,
     compare,
     div_exact,
     eval_at,
     exp_gross,
-    finite_part,
     floor_div_mod,
     format_number,
     gnum,
-    infinite_part,
-    infinitesimal_part,
     linear_gross_parts,
     normalize,
     nth_root,
     parity,
     pow_int,
-    sign,
     term,
 )
 from .sets import (

@@ -12,10 +12,8 @@ import json
 import sys
 from typing import Optional
 
-from . import paradoxes
 from .errors import GrossoneError, LexError, ParseError
-from .exprlang import evaluate, print_value, value_json
-from .paradoxes import LampState
+from .exprlang import Call, eval_expr, evaluate, parse, print_value, tokenize, value_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -23,7 +21,14 @@ EXIT_EVAL = 3
 EXIT_IO = 4
 EXIT_UNKNOWN_PARADOX = 5
 
-PARADOX_NAMES = ("galileo", "multiplication", "hilbert", "thomson", "torricelli")
+# paradox name: (the builtin that reports it, the flags that give its arguments)
+PARADOXES = {
+    "galileo": ("galileo", ()),
+    "multiplication": ("multiplication", ()),
+    "hilbert": ("hotel", ("m",)),
+    "thomson": ("lamp", ("initial", "switches")),
+    "torricelli": ("torricelli", ("h",)),
+}
 
 
 def _classify_error(exc: GrossoneError) -> int:
@@ -38,10 +43,7 @@ def run_eval(expr: str, as_json: bool) -> int:
     except GrossoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _classify_error(exc)
-    if as_json:
-        print(json.dumps(value_json(value)))
-    else:
-        print(print_value(value))
+    print(json.dumps(value_json(value)) if as_json else print_value(value))
     return EXIT_OK
 
 
@@ -68,39 +70,20 @@ def run_script(path: str, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _gross_arg(text: str, flag: str):
-    from .exprlang import NumberV
-
-    value = evaluate(text)
-    if not isinstance(value, NumberV):
-        raise ParseError(0, f"a number for {flag}")
-    return value.value
-
-
 def run_paradox(name: str, args: argparse.Namespace, as_json: bool) -> int:
-    if name not in PARADOX_NAMES:
+    if name not in PARADOXES:
         print(f"error: unknown paradox '{name}'", file=sys.stderr)
         return EXIT_UNKNOWN_PARADOX
+    builtin, flags = PARADOXES[name]
     try:
-        if name == "galileo":
-            report = paradoxes.galileo_report()
-        elif name == "multiplication":
-            report = paradoxes.multiplication_report()
-        elif name == "hilbert":
-            report = paradoxes.hilbert_accommodate(_gross_arg(args.m, "--m"))
-        elif name == "thomson":
-            report = paradoxes.thomson_lamp(
-                LampState(args.initial), _gross_arg(args.switches, "--switches")
-            )
-        else:
-            report = paradoxes.torricelli(_gross_arg(args.h, "--h"))
+        # Each flag value is an expression, evaluated as an argument of the builtin.
+        value = eval_expr(Call(builtin, tuple(parse(tokenize(getattr(args, f))) for f in flags)))
     except GrossoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _classify_error(exc)
-    if as_json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(report.render_text())
+    report = value.value
+    # Unlike --eval's, the report's JSON object carries no "type" key.
+    print(json.dumps(report.to_json()) if as_json else print_value(value))
     return EXIT_OK if report.resolved else EXIT_EVAL
 
 
@@ -125,10 +108,7 @@ def run_repl() -> int:
         except GrossoneError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        if as_json:
-            print(json.dumps(value_json(value)))
-        else:
-            print(print_value(value))
+        print(json.dumps(value_json(value)) if as_json else print_value(value))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit newline-delimited JSON")
     sub = parser.add_subparsers(dest="command")
     par = sub.add_parser("paradox", help="print a named paradox report")
-    par.add_argument("name", help="|".join(PARADOX_NAMES))
+    par.add_argument("name", help="|".join(PARADOXES))
     par.add_argument("--m", default="1", help="newcomers for hilbert (default 1)")
     par.add_argument("--switches", default="G", help="switch count for thomson (default G)")
     par.add_argument("--initial", choices=["on", "off"], default="on", help="thomson start state")

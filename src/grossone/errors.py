@@ -15,6 +15,11 @@ class DivisionByZero(GrossoneError, ZeroDivisionError):
     pass
 
 
+class NotPositive(GrossoneError, ValueError):
+    """A count of addends or switches, a scale factor or a progression's step
+    or element count that must be positive is not."""
+
+
 class NotExactlyDivisible(GrossoneError):
     """Long division left a nonzero remainder; no approximate series is produced."""
 

@@ -19,10 +19,12 @@ exponential term.  There are no variables; every line is standalone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from itertools import chain
+from typing import Callable, List, Optional, Tuple, Union
 
 from . import paradoxes, series, sets
 from .errors import (
@@ -36,7 +38,6 @@ from .gnum import (
     GrossNumber,
     NumberClass,
     Parity,
-    div_exact,
     exp_gross,
     gnum,
     nth_root,
@@ -351,47 +352,47 @@ class IntSetV:
 Value = Union[NumberV, SetV, ParityV, BoolV, ClassV, RootV, ReportV, AuditV, IntSetV]
 
 
+def _field(render: Callable) -> Callable:
+    return lambda payload: {"value": render(payload)}
+
+
+_enum_value = operator.attrgetter("value")
+
+# Wrapper class: (JSON "type", text of the payload, JSON fields of the payload).
+_OUTPUT = {
+    NumberV: ("number", str, _field(str)),
+    SetV: ("set", str, _field(str)),
+    ParityV: ("parity", _enum_value, _field(_enum_value)),
+    ClassV: ("class", _enum_value, _field(_enum_value)),
+    BoolV: ("bool", lambda b: "true" if b else "false", _field(bool)),
+    RootV: ("count", str, _field(str)),
+    ReportV: ("report", ParadoxReport.render_text, ParadoxReport.to_json),
+    AuditV: ("audit", str, RamanujanAudit.to_json),
+    IntSetV: ("intset", lambda xs: "{" + ",".join(str(x) for x in xs) + "}", _field(list)),
+}
+
+
+def _output(v: Value) -> tuple:
+    try:
+        return _OUTPUT[type(v)]
+    except KeyError:
+        raise TypeError(f"not a value: {v!r}") from None
+
+
 def print_value(v: Value) -> str:
-    if isinstance(v, NumberV):
-        return str(v.value)
-    if isinstance(v, (SetV, RootV, AuditV)):
-        return str(v.value)
-    if isinstance(v, ReportV):
-        return v.value.render_text()
-    if isinstance(v, ParityV):
-        return v.value.value
-    if isinstance(v, ClassV):
-        return v.value.value
-    if isinstance(v, BoolV):
-        return "true" if v.value else "false"
-    if isinstance(v, IntSetV):
-        return "{" + ",".join(str(x) for x in v.value) + "}"
-    raise TypeError(f"not a value: {v!r}")
+    return _output(v)[1](v.value)
 
 
 def value_json(v: Value) -> dict:
-    if isinstance(v, NumberV):
-        return {"type": "number", "value": str(v.value)}
-    if isinstance(v, SetV):
-        return {"type": "set", "value": str(v.value)}
-    if isinstance(v, ParityV):
-        return {"type": "parity", "value": v.value.value}
-    if isinstance(v, ClassV):
-        return {"type": "class", "value": v.value.value}
-    if isinstance(v, BoolV):
-        return {"type": "bool", "value": v.value}
-    if isinstance(v, RootV):
-        return {"type": "count", "value": str(v.value)}
-    if isinstance(v, ReportV):
-        return {"type": "report", **v.value.to_json()}
-    if isinstance(v, AuditV):
-        return {"type": "audit", **v.value.to_json()}
-    if isinstance(v, IntSetV):
-        return {"type": "intset", "value": list(v.value)}
-    raise TypeError(f"not a value: {v!r}")
+    kind, _, fields = _output(v)
+    return {"type": kind, **fields(v.value)}
 
 
-# --- evaluation ----------------------------------------------------------------
+# --- argument coercion ---------------------------------------------------------
+#
+# A coercer takes the builtin's name, the 1-based argument position and the
+# argument's value, and returns what the library function takes or raises
+# EvalTypeError naming the position.
 
 def _number(name: str, pos: int, v: Value) -> GrossNumber:
     if not isinstance(v, NumberV):
@@ -408,6 +409,17 @@ def _int(name: str, pos: int, v: Value) -> int:
     if r.denominator != 1:
         raise EvalTypeError(name, pos, "expected a finite integer")
     return int(r)
+
+
+def _positive(name: str, pos: int, v: Value, what: str = "a positive integer") -> int:
+    n = _int(name, pos, v)
+    if n <= 0:
+        raise EvalTypeError(name, pos, f"expected {what}")
+    return n
+
+
+def _degree(name: str, pos: int, v: Value) -> int:
+    return _positive(name, pos, v, "a positive integer degree")
 
 
 def _rational(name: str, pos: int, v: Value) -> Fraction:
@@ -431,14 +443,14 @@ def _ap(name: str, pos: int, v: Value) -> GrossAP:
     return s
 
 
-def _elements(name: str, pos: int, args: List[Value]) -> List[int]:
-    elems: List[int] = []
-    for k, v in enumerate(args, start=pos):
-        if isinstance(v, IntSetV):
-            elems.extend(v.value)
-        else:
-            elems.append(_int(name, k, v))
-    return elems
+def _ints(name: str, pos: int, v: Value) -> Tuple[int, ...]:
+    """A ``{...}`` literal's elements, or one finite integer."""
+    return v.value if isinstance(v, IntSetV) else (_int(name, pos, v),)
+
+
+def _word(name: str, pos: int, state: LampState) -> LampState:
+    """``lamp``'s bare on/off, already read by :func:`_eval_call`."""
+    return state
 
 
 def _check_arity(name: str, args, lo: int, hi: Optional[int]):
@@ -446,6 +458,65 @@ def _check_arity(name: str, args, lo: int, hi: Optional[int]):
         want = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
         raise EvalTypeError(name, len(args), f"expected {want} argument(s), got {len(args)}")
 
+
+# --- builtins --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Builtin:
+    """A function of the language.
+
+    ``coercers`` has one entry per argument position; the last entry also
+    covers any further arguments of a variadic builtin (``most`` is None).
+    ``call`` gets the coerced arguments and looks its library function up on
+    the module each time, so a rebinding of that function is honoured;
+    ``wrap`` turns the result into a value.
+    """
+
+    least: int
+    most: Optional[int]
+    coercers: Tuple[Callable, ...]
+    call: Callable
+    wrap: Callable[[object], Value]
+
+
+# The one place a builtin is defined: evaluation and the CLI's paradox
+# subcommand both go through this table.
+BUILTINS = {
+    "ap": Builtin(2, 2, (_int, _int), lambda k, n: sets.ap_nat(k, n), SetV),
+    "nat": Builtin(0, 0, (), lambda: sets.naturals(), SetV),
+    "evens": Builtin(0, 0, (), lambda: sets.evens(), SetV),
+    "odds": Builtin(0, 0, (), lambda: sets.odds(), SetV),
+    "ints": Builtin(0, 0, (), lambda: sets.integers_set(), SetV),
+    "card": Builtin(1, 1, (_set,), lambda s: sets.cardinality(s), NumberV),
+    "last": Builtin(1, 1, (_ap,), lambda s: sets.last_element(s), NumberV),
+    "at": Builtin(2, 2, (_ap, _number), lambda s, i: sets.element_at(s, i), NumberV),
+    "member": Builtin(2, 2, (_set, _number), lambda s, x: sets.member(s, x), BoolV),
+    "intersect": Builtin(2, 2, (_ap, _ap), lambda a, b: sets.intersect(a, b), SetV),
+    "scale": Builtin(2, 2, (_ap, _int), lambda s, m: sets.scale(s, m), SetV),
+    "addf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.add_finite(s, chain(*xs)), SetV),
+    "remf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.remove_finite(s, chain(*xs)), SetV),
+    "couples": Builtin(2, 2, (_set, _set), lambda a, b: sets.couples_count(a, b), NumberV),
+    "squares": Builtin(0, 0, (), lambda: sets.squares_count(), RootV),
+    "tri": Builtin(1, 1, (_number,), lambda n: series.triangular(n), NumberV),
+    "geo": Builtin(2, 2, (_rational, _number), lambda q, k: series.geometric(q, k), NumberV),
+    "x2": Builtin(1, 1, (_number,), lambda k: series.powers_of_two_sum(k), NumberV),
+    "grandi": Builtin(1, 1, (_number,), lambda k: gnum(series.grandi(k).value), NumberV),
+    "grandirr": Builtin(1, 1, (_number,), lambda k: series.grandi_rearranged(k), NumberV),
+    "ramanujan": Builtin(0, 1, (_number,), lambda *n: series.ramanujan_audit(*n), AuditV),
+    "tsum": Builtin(1, 1, (_number,), lambda k: series.infinitesimal_sum(k), NumberV),
+    "parity": Builtin(1, 1, (_number,), lambda n: n.parity(), ParityV),
+    "class": Builtin(1, 1, (_number,), lambda n: n.classify(), ClassV),
+    "evalat": Builtin(2, 2, (_number, _positive), lambda n, t: gnum(n.eval_at(t)), NumberV),
+    "root": Builtin(2, 2, (_number, _degree), lambda n, d: nth_root(n, d), NumberV),
+    "hotel": Builtin(0, 1, (_number,), lambda *m: paradoxes.hilbert_accommodate(*m), ReportV),
+    "lamp": Builtin(1, 2, (_word, _number), lambda s, *k: paradoxes.thomson_lamp(s, *k), ReportV),
+    "torricelli": Builtin(0, 1, (_number,), lambda *h: paradoxes.torricelli(*h), ReportV),
+    "galileo": Builtin(0, 0, (), lambda: paradoxes.galileo_report(), ReportV),
+    "multiplication": Builtin(0, 0, (), lambda: paradoxes.multiplication_report(), ReportV),
+}
+
+
+# --- evaluation ----------------------------------------------------------------
 
 def _eval_power(left: Value, right: Value) -> Value:
     rv = _number("^", 2, right)
@@ -467,6 +538,20 @@ def _eval_power(left: Value, right: Value) -> Value:
     return NumberV(exp_gross(base_q, rv))
 
 
+# Operator: (the function of both operands, the wrapper of its result).
+_OPERATORS = {
+    "+": (operator.add, NumberV),
+    "-": (operator.sub, NumberV),
+    "*": (operator.mul, NumberV),
+    "/": (operator.truediv, NumberV),
+    "<": (operator.lt, BoolV),
+    "<=": (operator.le, BoolV),
+    "=": (operator.eq, BoolV),
+    ">=": (operator.ge, BoolV),
+    ">": (operator.gt, BoolV),
+}
+
+
 def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, Literal):
         return NumberV(gnum(expr.value))
@@ -479,152 +564,41 @@ def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, Unary):
         v = eval_expr(expr.operand)
         return NumberV(-_number("-", 1, v))
-    if isinstance(expr, Binary):
-        if expr.op == "^":
-            return _eval_power(eval_expr(expr.left), eval_expr(expr.right))
+    if isinstance(expr, Binary) and expr.op == "^":
+        return _eval_power(eval_expr(expr.left), eval_expr(expr.right))
+    if isinstance(expr, (Binary, Compare)):
         lv = _number(expr.op, 1, eval_expr(expr.left))
         rv = _number(expr.op, 2, eval_expr(expr.right))
-        if expr.op == "+":
-            return NumberV(lv + rv)
-        if expr.op == "-":
-            return NumberV(lv - rv)
-        if expr.op == "*":
-            return NumberV(lv * rv)
-        if expr.op == "/":
-            return NumberV(div_exact(lv, rv))
-        raise UnknownIdentifier(f"unknown operator '{expr.op}'")
-    if isinstance(expr, Compare):
-        lv = _number(expr.op, 1, eval_expr(expr.left))
-        rv = _number(expr.op, 2, eval_expr(expr.right))
-        result = {
-            "<": lv < rv,
-            "<=": lv <= rv,
-            "=": lv == rv,
-            ">=": lv >= rv,
-            ">": lv > rv,
-        }[expr.op]
-        return BoolV(result)
+        op, wrap = _OPERATORS.get(expr.op, (None, None))
+        if op is None:
+            raise UnknownIdentifier(f"unknown operator '{expr.op}'")
+        return wrap(op(lv, rv))
     if isinstance(expr, Call):
         return _eval_call(expr)
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def _eval_call(call: Call) -> Value:
+    """Evaluate the arguments, look the name up, check the arity, coerce the
+    arguments left to right, call, wrap."""
     name = call.name
     if name == "lamp":
-        # The initial state is the bare word on/off, not an expression.
+        # The initial state is the bare word on/off, not an expression; it is
+        # checked before the switch count is evaluated.
         _check_arity(name, call.args, 1, 2)
         head = call.args[0]
         if not isinstance(head, Name) or head.ident not in ("on", "off"):
             raise EvalTypeError(name, 1, "expected 'on' or 'off'")
-        initial = LampState(head.ident)
-        switches = None
-        if len(call.args) == 2:
-            switches = _number(name, 2, eval_expr(call.args[1]))
-        return ReportV(paradoxes.thomson_lamp(initial, switches))
-
-    args = [eval_expr(a) for a in call.args]
-
-    if name == "ap":
-        _check_arity(name, args, 2, 2)
-        return SetV(sets.ap_nat(_int(name, 1, args[0]), _int(name, 2, args[1])))
-    if name == "nat":
-        _check_arity(name, args, 0, 0)
-        return SetV(sets.naturals())
-    if name == "evens":
-        _check_arity(name, args, 0, 0)
-        return SetV(sets.evens())
-    if name == "odds":
-        _check_arity(name, args, 0, 0)
-        return SetV(sets.odds())
-    if name == "ints":
-        _check_arity(name, args, 0, 0)
-        return SetV(sets.integers_set())
-    if name == "card":
-        _check_arity(name, args, 1, 1)
-        return NumberV(sets.cardinality(_set(name, 1, args[0])))
-    if name == "last":
-        _check_arity(name, args, 1, 1)
-        return NumberV(sets.last_element(_ap(name, 1, args[0])))
-    if name == "at":
-        _check_arity(name, args, 2, 2)
-        return NumberV(sets.element_at(_ap(name, 1, args[0]), _number(name, 2, args[1])))
-    if name == "member":
-        _check_arity(name, args, 2, 2)
-        return BoolV(sets.member(_set(name, 1, args[0]), _number(name, 2, args[1])))
-    if name == "intersect":
-        _check_arity(name, args, 2, 2)
-        return SetV(sets.intersect(_ap(name, 1, args[0]), _ap(name, 2, args[1])))
-    if name == "scale":
-        _check_arity(name, args, 2, 2)
-        return SetV(sets.scale(_ap(name, 1, args[0]), _int(name, 2, args[1])))
-    if name == "addf":
-        _check_arity(name, args, 2, None)
-        return SetV(sets.add_finite(_set(name, 1, args[0]), _elements(name, 2, args[1:])))
-    if name == "remf":
-        _check_arity(name, args, 2, None)
-        return SetV(sets.remove_finite(_set(name, 1, args[0]), _elements(name, 2, args[1:])))
-    if name == "couples":
-        _check_arity(name, args, 2, 2)
-        return NumberV(sets.couples_count(_set(name, 1, args[0]), _set(name, 2, args[1])))
-    if name == "squares":
-        _check_arity(name, args, 0, 0)
-        return RootV(sets.squares_count())
-    if name == "tri":
-        _check_arity(name, args, 1, 1)
-        return NumberV(series.triangular(_number(name, 1, args[0])))
-    if name == "geo":
-        _check_arity(name, args, 2, 2)
-        return NumberV(series.geometric(_rational(name, 1, args[0]), _number(name, 2, args[1])))
-    if name == "x2":
-        _check_arity(name, args, 1, 1)
-        return NumberV(series.powers_of_two_sum(_number(name, 1, args[0])))
-    if name == "grandi":
-        _check_arity(name, args, 1, 1)
-        return NumberV(gnum(series.grandi(_number(name, 1, args[0])).value))
-    if name == "grandirr":
-        _check_arity(name, args, 1, 1)
-        return NumberV(series.grandi_rearranged(_number(name, 1, args[0])))
-    if name == "ramanujan":
-        _check_arity(name, args, 0, 1)
-        n = _number(name, 1, args[0]) if args else None
-        return AuditV(series.ramanujan_audit(n))
-    if name == "tsum":
-        _check_arity(name, args, 1, 1)
-        return NumberV(series.infinitesimal_sum(_number(name, 1, args[0])))
-    if name == "parity":
-        _check_arity(name, args, 1, 1)
-        return ParityV(_number(name, 1, args[0]).parity())
-    if name == "class":
-        _check_arity(name, args, 1, 1)
-        return ClassV(_number(name, 1, args[0]).classify())
-    if name == "evalat":
-        _check_arity(name, args, 2, 2)
-        t = _int(name, 2, args[1])
-        if t <= 0:
-            raise EvalTypeError(name, 2, "expected a positive integer")
-        return NumberV(gnum(_number(name, 1, args[0]).eval_at(t)))
-    if name == "root":
-        _check_arity(name, args, 2, 2)
-        d = _int(name, 2, args[1])
-        if d <= 0:
-            raise EvalTypeError(name, 2, "expected a positive integer degree")
-        return NumberV(nth_root(_number(name, 1, args[0]), d))
-    if name == "hotel":
-        _check_arity(name, args, 0, 1)
-        m = _number(name, 1, args[0]) if args else gnum(1)
-        return ReportV(paradoxes.hilbert_accommodate(m))
-    if name == "galileo":
-        _check_arity(name, args, 0, 0)
-        return ReportV(paradoxes.galileo_report())
-    if name == "multiplication":
-        _check_arity(name, args, 0, 0)
-        return ReportV(paradoxes.multiplication_report())
-    if name == "torricelli":
-        _check_arity(name, args, 0, 1)
-        h = _number(name, 1, args[0]) if args else None
-        return ReportV(paradoxes.torricelli(h))
-    raise UnknownIdentifier(f"unknown function '{name}'")
+        args = [LampState(head.ident)] + [eval_expr(a) for a in call.args[1:]]
+    else:
+        args = [eval_expr(a) for a in call.args]
+    spec = BUILTINS.get(name)
+    if spec is None:
+        raise UnknownIdentifier(f"unknown function '{name}'")
+    _check_arity(name, args, spec.least, spec.most)
+    last = len(spec.coercers) - 1
+    coerced = [spec.coercers[min(i, last)](name, i + 1, v) for i, v in enumerate(args)]
+    return spec.wrap(spec.call(*coerced))
 
 
 def evaluate(text: str) -> Value:

@@ -282,9 +282,9 @@ GROSSONE = GrossNumber((GrossTerm(_ONE, _ONE, _ONE),))
 G = GROSSONE
 
 
-def gnum(value: RationalLike) -> GrossNumber:
-    """Shorthand for :meth:`GrossNumber.from_rational`."""
-    return GrossNumber.from_rational(value)
+def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
+    """A rational as a gross-number; a gross-number is returned unchanged."""
+    return value if isinstance(value, GrossNumber) else GrossNumber.from_rational(value)
 
 
 def normalize(raw: Iterable[GrossTerm]) -> GrossNumber:
@@ -301,45 +301,11 @@ def normalize(raw: Iterable[GrossTerm]) -> GrossNumber:
     return GrossNumber(terms)
 
 
-# -- free functions mirroring the methods ------------------------------------
-
-def add(a: GrossNumber, b: GrossNumber) -> GrossNumber:
-    return a + b
-
-
-def neg(a: GrossNumber) -> GrossNumber:
-    return -a
-
-
-def mul(a: GrossNumber, b: GrossNumber) -> GrossNumber:
-    return a * b
-
-
-def sign(a: GrossNumber) -> int:
-    return a.sign()
-
+# -- free functions kept beside the methods --------------------------------
 
 def compare(a: GrossNumber, b) -> int:
     """-1, 0 or +1 as ``a`` is less than, equal to, or greater than ``b``."""
-    if not isinstance(b, GrossNumber):
-        b = GrossNumber.from_rational(b)
-    return (a - b).sign()
-
-
-def classify(a: GrossNumber) -> NumberClass:
-    return a.classify()
-
-
-def finite_part(a: GrossNumber) -> GrossNumber:
-    return a.finite_part()
-
-
-def infinitesimal_part(a: GrossNumber) -> GrossNumber:
-    return a.infinitesimal_part()
-
-
-def infinite_part(a: GrossNumber) -> GrossNumber:
-    return a.infinite_part()
+    return (a - gnum(b)).sign()
 
 
 def parity(x: GrossNumber) -> Parity:
@@ -445,8 +411,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
     only with a positive exponent, realizing the axiom ``0**G == 0``.
     """
     base = Fraction(b)
-    if isinstance(e, int):
-        e = GrossNumber.from_rational(e)
+    e = gnum(e)
     a, d = linear_gross_parts(e)
     if base == 0:
         if e.sign() > 0:

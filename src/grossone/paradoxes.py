@@ -13,8 +13,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import CountNotGrossInteger, NotInfinitesimalWidth, TooManyNewcomers
-from .gnum import G, GrossNumber, NumberClass, Parity, exp_gross, gnum
+from .errors import CountNotGrossInteger, NotInfinitesimalWidth, NotPositive, TooManyNewcomers
+from .gnum import G, NumberClass, Parity, exp_gross, gnum
 from .series import ap_sum, geometric
 from .sets import (
     GrossAP,
@@ -74,10 +74,6 @@ class ParadoxReport:
 
     def __str__(self) -> str:
         return self.render_text()
-
-
-def _as_gross(value) -> GrossNumber:
-    return value if isinstance(value, GrossNumber) else gnum(value)
 
 
 def galileo_report() -> ParadoxReport:
@@ -165,7 +161,7 @@ def multiplication_report() -> ParadoxReport:
 
 def hilbert_accommodate(m=1) -> ParadoxReport:
     """Shift every guest up by m rooms in a hotel with exactly G rooms."""
-    m = _as_gross(m)
+    m = gnum(m)
     if not m.is_gross_integer() or m.sign() <= 0:
         raise TooManyNewcomers(f"newcomer count {m} must be a positive gross-integer")
     if m > G:
@@ -206,9 +202,9 @@ def thomson_lamp(initial: LampState, switches=None) -> ParadoxReport:
     lamp ends in the starting configuration when the number of switches is
     odd and in the opposite one when it is even.
     """
-    switches = G if switches is None else _as_gross(switches)
+    switches = G if switches is None else gnum(switches)
     if switches.sign() <= 0:
-        raise ValueError("the number of switches must be positive")
+        raise NotPositive("the number of switches must be positive")
     par = switches.parity()
     final = initial.toggled() if par is Parity.EVEN else initial
     elapsed = geometric(Fraction(1, 2), switches)
@@ -251,7 +247,7 @@ def torricelli(h=None) -> ParadoxReport:
     width 2h the lower one; each strip ends in a corner triangle of area h^2.
     Both coverages sum to exactly 1 for every admissible width.
     """
-    h = _as_gross(h) if h is not None else G ** -1
+    h = gnum(h) if h is not None else G ** -1
     if (
         len(h.terms) != 1
         or h.terms[0].base != 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAGrossInteger, OddLength, UnitRatio
+from .errors import NotAGrossInteger, NotPositive, OddLength, UnitRatio
 from .gnum import (
     G,
     GrossNumber,
@@ -23,10 +23,6 @@ from .gnum import (
     gnum,
     linear_gross_parts,
 )
-
-
-def _as_gross(value) -> GrossNumber:
-    return value if isinstance(value, GrossNumber) else gnum(value)
 
 
 @dataclass(frozen=True)
@@ -54,15 +50,15 @@ class RamanujanAudit:
 
 def ap_sum(first, step, count) -> GrossNumber:
     """Sum of an arithmetic progression with ``count`` addends, exactly."""
-    first = _as_gross(first)
-    step = _as_gross(step)
-    count = _as_gross(count)
+    first = gnum(first)
+    step = gnum(step)
+    count = gnum(count)
     return count * first + step * count * (count - 1) / 2
 
 
 def triangular(n) -> GrossNumber:
     """``1 + 2 + ... + n  ==  n*(n+1)/2`` for finite and infinite n alike."""
-    n = _as_gross(n)
+    n = gnum(n)
     return n * (n + 1) / 2
 
 
@@ -75,7 +71,7 @@ def geometric(q: RationalLike, k) -> GrossNumber:
     q = Fraction(q)
     if q == 1:
         raise UnitRatio("ratio 1 has no geometric closed form; use ap_sum")
-    k = _as_gross(k)
+    k = gnum(k)
     if q < 0:
         qk = exp_gross(-q, k)
         if k.parity() is Parity.ODD:
@@ -87,17 +83,19 @@ def geometric(q: RationalLike, k) -> GrossNumber:
 
 def powers_of_two_sum(k) -> GrossNumber:
     """``1 + 2 + 4 + ... + 2**(k-1)  ==  2**k - 1``."""
-    k = _as_gross(k)
+    k = gnum(k)
     a, _ = linear_gross_parts(k)
     if a < 0 or k.sign() <= 0:
-        raise ValueError("the number of addends must be positive")
+        raise NotPositive("the number of addends must be positive")
     return exp_gross(2, k) - 1
 
 
 def grandi(k) -> GrandiResult:
     """Grandi's series with ``k`` addends: 0 when k is even, 1 when odd."""
-    k = _as_gross(k)
+    k = gnum(k)
     if k.sign() <= 0:
+        # Still a bare ValueError, unlike its siblings: perfbench's own test
+        # of how known defects are told apart pins grandi(0) as one (ROADMAP).
         raise ValueError("the number of addends must be positive")
     p = k.parity()
     return GrandiResult(0 if p is Parity.EVEN else 1, p)
@@ -110,9 +108,9 @@ def grandi_rearranged(k) -> GrossNumber:
     Blocks of ``1+1-1`` run until the positives are exhausted; the remaining
     addends are lone ``-1``s.  The total must (and does) equal ``grandi(k)``.
     """
-    k = _as_gross(k)
+    k = gnum(k)
     if k.sign() <= 0:
-        raise ValueError("the number of addends must be positive")
+        raise NotPositive("the number of addends must be positive")
     if k.parity() is not Parity.EVEN:
         raise OddLength(f"{k} is odd; the block rearrangement needs an even length")
     positives, _ = floor_div_mod(k, 2)
@@ -129,7 +127,7 @@ def ramanujan_audit(n=None) -> RamanujanAudit:
     the even addends, minus four times the upper half that the displacement
     pushed beyond the stated length.  Defaults to ``n = G``.
     """
-    n = G if n is None else _as_gross(n)
+    n = G if n is None else gnum(n)
     if not n.is_gross_integer():
         raise NotAGrossInteger(f"{n} is not a gross-integer")
     if n.parity() is not Parity.EVEN:
@@ -144,4 +142,4 @@ def ramanujan_audit(n=None) -> RamanujanAudit:
 def infinitesimal_sum(k) -> GrossNumber:
     """``k`` addends of size ``G**-2``: infinitesimal, finite or infinite
     depending on ``k``."""
-    return G ** -2 * _as_gross(k)
+    return G ** -2 * gnum(k)

@@ -20,6 +20,7 @@ from .errors import (
     ElementNotPresent,
     GrossFirstUnsupported,
     IndexOutOfRange,
+    NotPositive,
     ResidueOutOfRange,
 )
 from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root
@@ -37,10 +38,6 @@ def _as_first(value: FirstLike):
     return value
 
 
-def _as_number(value: FirstLike) -> GrossNumber:
-    return value if isinstance(value, GrossNumber) else gnum(value)
-
-
 @dataclass(frozen=True)
 class GrossAP:
     """Arithmetic progression with a gross-integer number of elements."""
@@ -51,15 +48,15 @@ class GrossAP:
 
     def __post_init__(self):
         object.__setattr__(self, "first", _as_first(self.first))
-        object.__setattr__(self, "count", _as_number(self.count))
+        object.__setattr__(self, "count", gnum(self.count))
         if self.step <= 0:
-            raise ValueError("step must be a positive integer")
+            raise NotPositive("step must be a positive integer")
         if not self.count.is_gross_integer() or self.count.sign() <= 0:
-            raise ValueError("count must be a positive gross-integer")
+            raise NotPositive("count must be a positive gross-integer")
 
     @property
     def last(self) -> GrossNumber:
-        return _as_number(self.first) + (self.count - 1) * self.step
+        return gnum(self.first) + (self.count - 1) * self.step
 
     def __str__(self) -> str:
         return f"AP(first={self.first}, step={self.step}, count={self.count})"
@@ -168,10 +165,10 @@ def cardinality(s: SetLike) -> GrossNumber:
 
 
 def element_at(s: GrossAP, i) -> GrossNumber:
-    idx = _as_number(i)
+    idx = gnum(i)
     if not idx.is_gross_integer() or idx.sign() <= 0 or idx > s.count:
         raise IndexOutOfRange(f"index {idx} outside 1..{s.count}")
-    return _as_number(s.first) + (idx - 1) * s.step
+    return gnum(s.first) + (idx - 1) * s.step
 
 
 def last_element(s: GrossAP) -> GrossNumber:
@@ -193,8 +190,8 @@ def member(s: SetLike, x) -> bool:
             if x in s.removed:
                 return False
         return member(s.base, x)
-    value = _as_number(x)
-    offset = value - _as_number(s.first)
+    value = gnum(x)
+    offset = value - gnum(s.first)
     if offset.sign() < 0:
         return False
     if value > s.last:
@@ -237,8 +234,8 @@ def intersect(a: GrossAP, b: GrossAP):
 def scale(s: GrossAP, m: int) -> GrossAP:
     """Multiply every element by m; the element count is unchanged."""
     if m <= 0:
-        raise ValueError("scale factor must be a positive integer")
-    first = s.first * m if isinstance(s.first, int) else _as_number(s.first) * m
+        raise NotPositive("scale factor must be a positive integer")
+    first = s.first * m if isinstance(s.first, int) else gnum(s.first) * m
     return GrossAP(first, s.step * m, s.count)
 
 
