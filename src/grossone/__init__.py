@@ -10,7 +10,6 @@ from .gnum import (
     GrossTerm,
     NumberClass,
     Parity,
-    Rational,
     compare,
     div_exact,
     eval_at,

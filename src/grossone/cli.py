@@ -31,6 +31,20 @@ PARADOXES = {
 }
 
 
+# Options whose value is an expression.  argparse takes a value that starts
+# with "-", such as "-(9)", for an option; the argument after one of these is
+# always its value, as if written "--eval=-(9)".
+EXPRESSION_OPTIONS = ("--eval", "--m", "--switches", "--h")
+
+
+def _join_expression_values(argv: list) -> list:
+    joined, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in EXPRESSION_OPTIONS else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def _classify_error(exc: GrossoneError) -> int:
     if isinstance(exc, (LexError, ParseError)):
         return EXIT_PARSE
@@ -77,13 +91,12 @@ def run_paradox(name: str, args: argparse.Namespace, as_json: bool) -> int:
     builtin, flags = PARADOXES[name]
     try:
         # Each flag value is an expression, evaluated as an argument of the builtin.
-        value = eval_expr(Call(builtin, tuple(parse(tokenize(getattr(args, f))) for f in flags)))
+        report = eval_expr(Call(builtin, tuple(parse(tokenize(getattr(args, f))) for f in flags)))
     except GrossoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _classify_error(exc)
-    report = value.value
     # Unlike --eval's, the report's JSON object carries no "type" key.
-    print(json.dumps(report.to_json()) if as_json else print_value(value))
+    print(json.dumps(report.to_json()) if as_json else print_value(report))
     return EXIT_OK if report.resolved else EXIT_EVAL
 
 
@@ -135,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_expression_values(argv))
     if args.command == "paradox":
         return run_paradox(args.name, args, args.json)
     if args.expr is not None:

@@ -102,10 +102,6 @@ class CountNotGrossInteger(GrossoneError):
     pass
 
 
-class UnknownParadox(GrossoneError):
-    pass
-
-
 # --- expression language ----------------------------------------------------
 
 class LexError(GrossoneError):

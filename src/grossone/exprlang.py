@@ -91,59 +91,43 @@ _SINGLE = {
 }
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def tokenize(text: str) -> List[Token]:
-    """Maximal-munch lexing; integers are arbitrary precision."""
+    """Maximal-munch lexing; integers are arbitrary precision.
+
+    Offsets count UTF-8 bytes; the offset is carried forward token by token.
+    """
     tokens: List[Token] = []
-    i = 0
+    i = offset = 0
     n = len(text)
     while i < n:
         c = text[i]
+        j = i + 1
         if c in " \t\r\n":
-            i += 1
+            i, offset = j, offset + 1
             continue
-        start = _byte_offset(text, i)
         if c == GROSSONE_GLYPH:
-            tokens.append(Token(TokenKind.G, "G", start))
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
+            kind, lexeme = TokenKind.G, "G"
+        elif c.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token(TokenKind.INT, text[i:j], start))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+            kind, lexeme = TokenKind.INT, text[i:j]
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            kind = TokenKind.G if word == "G" else TokenKind.IDENT
-            tokens.append(Token(kind, word, start))
-            i = j
-            continue
-        if c in "<>":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(Token(TokenKind.CMP, c + "=", start))
-                i += 2
-            else:
-                tokens.append(Token(TokenKind.CMP, c, start))
-                i += 1
-            continue
-        if c == "=":
-            tokens.append(Token(TokenKind.CMP, "=", start))
-            i += 1
-            continue
-        if c in _SINGLE:
-            tokens.append(Token(_SINGLE[c], c, start))
-            i += 1
-            continue
-        raise LexError(start, c)
-    tokens.append(Token(TokenKind.END, "", _byte_offset(text, n)))
+            lexeme = text[i:j]
+            kind = TokenKind.G if lexeme == "G" else TokenKind.IDENT
+        elif c in "<>=":
+            if c != "=" and text[j:j + 1] == "=":
+                j += 1
+            kind, lexeme = TokenKind.CMP, text[i:j]
+        elif c in _SINGLE:
+            kind, lexeme = _SINGLE[c], c
+        else:
+            raise LexError(offset, c)
+        tokens.append(Token(kind, lexeme, offset))
+        offset += len(text[i:j].encode("utf-8"))
+        i = j
+    tokens.append(Token(TokenKind.END, "", offset))
     return tokens
 
 
@@ -178,13 +162,6 @@ class Binary:
 
 
 @dataclass(frozen=True)
-class Compare:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
 class Call:
     name: str
     args: Tuple["Expr", ...]
@@ -195,7 +172,7 @@ class SetLit:
     items: Tuple["Expr", ...]
 
 
-Expr = Union[Literal, Grossone, Name, Unary, Binary, Compare, Call, SetLit]
+Expr = Union[Literal, Grossone, Name, Unary, Binary, Call, SetLit]
 
 
 class Parser:
@@ -229,7 +206,7 @@ class Parser:
         if self.peek().kind is TokenKind.CMP:
             op = self.advance().lexeme
             right = self.additive()
-            return Compare(op, left, right)
+            return Binary(op, left, right)
         return left
 
     def additive(self) -> Expr:
@@ -303,72 +280,35 @@ def parse(tokens: List[Token]) -> Expr:
 
 
 # --- values -----------------------------------------------------------------
+#
+# Evaluation yields the library's own objects; a ``{...}`` literal yields the
+# tuple of its ints.
 
-@dataclass(frozen=True)
-class NumberV:
-    value: GrossNumber
+_SETS = (GrossAP, AdjustedSet, EmptySet)
 
-
-@dataclass(frozen=True)
-class SetV:
-    value: Union[GrossAP, AdjustedSet, EmptySet]
-
-
-@dataclass(frozen=True)
-class ParityV:
-    value: Parity
-
-
-@dataclass(frozen=True)
-class BoolV:
-    value: bool
-
-
-@dataclass(frozen=True)
-class ClassV:
-    value: NumberClass
-
-
-@dataclass(frozen=True)
-class RootV:
-    value: RootCount
-
-
-@dataclass(frozen=True)
-class ReportV:
-    value: ParadoxReport
-
-
-@dataclass(frozen=True)
-class AuditV:
-    value: RamanujanAudit
-
-
-@dataclass(frozen=True)
-class IntSetV:
-    value: Tuple[int, ...]
-
-
-Value = Union[NumberV, SetV, ParityV, BoolV, ClassV, RootV, ReportV, AuditV, IntSetV]
+Value = Union[
+    GrossNumber, GrossAP, AdjustedSet, EmptySet, Parity, NumberClass, bool,
+    RootCount, ParadoxReport, RamanujanAudit, Tuple[int, ...],
+]
 
 
 def _field(render: Callable) -> Callable:
-    return lambda payload: {"value": render(payload)}
+    return lambda value: {"value": render(value)}
 
 
 _enum_value = operator.attrgetter("value")
 
-# Wrapper class: (JSON "type", text of the payload, JSON fields of the payload).
+# Value class: (JSON "type", text of the value, JSON fields of the value).
 _OUTPUT = {
-    NumberV: ("number", str, _field(str)),
-    SetV: ("set", str, _field(str)),
-    ParityV: ("parity", _enum_value, _field(_enum_value)),
-    ClassV: ("class", _enum_value, _field(_enum_value)),
-    BoolV: ("bool", lambda b: "true" if b else "false", _field(bool)),
-    RootV: ("count", str, _field(str)),
-    ReportV: ("report", ParadoxReport.render_text, ParadoxReport.to_json),
-    AuditV: ("audit", str, RamanujanAudit.to_json),
-    IntSetV: ("intset", lambda xs: "{" + ",".join(str(x) for x in xs) + "}", _field(list)),
+    GrossNumber: ("number", str, _field(str)),
+    **dict.fromkeys(_SETS, ("set", str, _field(str))),
+    Parity: ("parity", _enum_value, _field(_enum_value)),
+    NumberClass: ("class", _enum_value, _field(_enum_value)),
+    bool: ("bool", lambda b: "true" if b else "false", _field(bool)),
+    RootCount: ("count", str, _field(str)),
+    ParadoxReport: ("report", ParadoxReport.render_text, ParadoxReport.to_json),
+    RamanujanAudit: ("audit", str, RamanujanAudit.to_json),
+    tuple: ("intset", lambda xs: "{" + ",".join(str(x) for x in xs) + "}", _field(list)),
 }
 
 
@@ -380,12 +320,12 @@ def _output(v: Value) -> tuple:
 
 
 def print_value(v: Value) -> str:
-    return _output(v)[1](v.value)
+    return _output(v)[1](v)
 
 
 def value_json(v: Value) -> dict:
     kind, _, fields = _output(v)
-    return {"type": kind, **fields(v.value)}
+    return {"type": kind, **fields(v)}
 
 
 # --- argument coercion ---------------------------------------------------------
@@ -395,9 +335,9 @@ def value_json(v: Value) -> dict:
 # EvalTypeError naming the position.
 
 def _number(name: str, pos: int, v: Value) -> GrossNumber:
-    if not isinstance(v, NumberV):
+    if not isinstance(v, GrossNumber):
         raise EvalTypeError(name, pos, "expected a number")
-    return v.value
+    return v
 
 
 def _int(name: str, pos: int, v: Value) -> int:
@@ -431,9 +371,9 @@ def _rational(name: str, pos: int, v: Value) -> Fraction:
 
 
 def _set(name: str, pos: int, v: Value):
-    if not isinstance(v, SetV):
+    if not isinstance(v, _SETS):
         raise EvalTypeError(name, pos, "expected a set")
-    return v.value
+    return v
 
 
 def _ap(name: str, pos: int, v: Value) -> GrossAP:
@@ -445,7 +385,7 @@ def _ap(name: str, pos: int, v: Value) -> GrossAP:
 
 def _ints(name: str, pos: int, v: Value) -> Tuple[int, ...]:
     """A ``{...}`` literal's elements, or one finite integer."""
-    return v.value if isinstance(v, IntSetV) else (_int(name, pos, v),)
+    return v if isinstance(v, tuple) else (_int(name, pos, v),)
 
 
 def _word(name: str, pos: int, state: LampState) -> LampState:
@@ -468,111 +408,109 @@ class Builtin:
     ``coercers`` has one entry per argument position; the last entry also
     covers any further arguments of a variadic builtin (``most`` is None).
     ``call`` gets the coerced arguments and looks its library function up on
-    the module each time, so a rebinding of that function is honoured;
-    ``wrap`` turns the result into a value.
+    the module each time, so a rebinding of that function is honoured; its
+    result is the value of the call.
     """
 
     least: int
     most: Optional[int]
     coercers: Tuple[Callable, ...]
     call: Callable
-    wrap: Callable[[object], Value]
 
 
 # The one place a builtin is defined: evaluation and the CLI's paradox
 # subcommand both go through this table.
 BUILTINS = {
-    "ap": Builtin(2, 2, (_int, _int), lambda k, n: sets.ap_nat(k, n), SetV),
-    "nat": Builtin(0, 0, (), lambda: sets.naturals(), SetV),
-    "evens": Builtin(0, 0, (), lambda: sets.evens(), SetV),
-    "odds": Builtin(0, 0, (), lambda: sets.odds(), SetV),
-    "ints": Builtin(0, 0, (), lambda: sets.integers_set(), SetV),
-    "card": Builtin(1, 1, (_set,), lambda s: sets.cardinality(s), NumberV),
-    "last": Builtin(1, 1, (_ap,), lambda s: sets.last_element(s), NumberV),
-    "at": Builtin(2, 2, (_ap, _number), lambda s, i: sets.element_at(s, i), NumberV),
-    "member": Builtin(2, 2, (_set, _number), lambda s, x: sets.member(s, x), BoolV),
-    "intersect": Builtin(2, 2, (_ap, _ap), lambda a, b: sets.intersect(a, b), SetV),
-    "scale": Builtin(2, 2, (_ap, _int), lambda s, m: sets.scale(s, m), SetV),
-    "addf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.add_finite(s, chain(*xs)), SetV),
-    "remf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.remove_finite(s, chain(*xs)), SetV),
-    "couples": Builtin(2, 2, (_set, _set), lambda a, b: sets.couples_count(a, b), NumberV),
-    "squares": Builtin(0, 0, (), lambda: sets.squares_count(), RootV),
-    "tri": Builtin(1, 1, (_number,), lambda n: series.triangular(n), NumberV),
-    "geo": Builtin(2, 2, (_rational, _number), lambda q, k: series.geometric(q, k), NumberV),
-    "x2": Builtin(1, 1, (_number,), lambda k: series.powers_of_two_sum(k), NumberV),
-    "grandi": Builtin(1, 1, (_number,), lambda k: gnum(series.grandi(k).value), NumberV),
-    "grandirr": Builtin(1, 1, (_number,), lambda k: series.grandi_rearranged(k), NumberV),
-    "ramanujan": Builtin(0, 1, (_number,), lambda *n: series.ramanujan_audit(*n), AuditV),
-    "tsum": Builtin(1, 1, (_number,), lambda k: series.infinitesimal_sum(k), NumberV),
-    "parity": Builtin(1, 1, (_number,), lambda n: n.parity(), ParityV),
-    "class": Builtin(1, 1, (_number,), lambda n: n.classify(), ClassV),
-    "evalat": Builtin(2, 2, (_number, _positive), lambda n, t: gnum(n.eval_at(t)), NumberV),
-    "root": Builtin(2, 2, (_number, _degree), lambda n, d: nth_root(n, d), NumberV),
-    "hotel": Builtin(0, 1, (_number,), lambda *m: paradoxes.hilbert_accommodate(*m), ReportV),
-    "lamp": Builtin(1, 2, (_word, _number), lambda s, *k: paradoxes.thomson_lamp(s, *k), ReportV),
-    "torricelli": Builtin(0, 1, (_number,), lambda *h: paradoxes.torricelli(*h), ReportV),
-    "galileo": Builtin(0, 0, (), lambda: paradoxes.galileo_report(), ReportV),
-    "multiplication": Builtin(0, 0, (), lambda: paradoxes.multiplication_report(), ReportV),
+    "ap": Builtin(2, 2, (_int, _int), lambda k, n: sets.ap_nat(k, n)),
+    "nat": Builtin(0, 0, (), lambda: sets.naturals()),
+    "evens": Builtin(0, 0, (), lambda: sets.evens()),
+    "odds": Builtin(0, 0, (), lambda: sets.odds()),
+    "ints": Builtin(0, 0, (), lambda: sets.integers_set()),
+    "card": Builtin(1, 1, (_set,), lambda s: sets.cardinality(s)),
+    "last": Builtin(1, 1, (_ap,), lambda s: sets.last_element(s)),
+    "at": Builtin(2, 2, (_ap, _number), lambda s, i: sets.element_at(s, i)),
+    "member": Builtin(2, 2, (_set, _number), lambda s, x: sets.member(s, x)),
+    "intersect": Builtin(2, 2, (_ap, _ap), lambda a, b: sets.intersect(a, b)),
+    "scale": Builtin(2, 2, (_ap, _int), lambda s, m: sets.scale(s, m)),
+    "addf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.add_finite(s, chain(*xs))),
+    "remf": Builtin(2, None, (_set, _ints), lambda s, *xs: sets.remove_finite(s, chain(*xs))),
+    "couples": Builtin(2, 2, (_set, _set), lambda a, b: sets.couples_count(a, b)),
+    "squares": Builtin(0, 0, (), lambda: sets.squares_count()),
+    "tri": Builtin(1, 1, (_number,), lambda n: series.triangular(n)),
+    "geo": Builtin(2, 2, (_rational, _number), lambda q, k: series.geometric(q, k)),
+    "x2": Builtin(1, 1, (_number,), lambda k: series.powers_of_two_sum(k)),
+    "grandi": Builtin(1, 1, (_number,), lambda k: gnum(series.grandi(k).value)),
+    "grandirr": Builtin(1, 1, (_number,), lambda k: series.grandi_rearranged(k)),
+    "ramanujan": Builtin(0, 1, (_number,), lambda *n: series.ramanujan_audit(*n)),
+    "tsum": Builtin(1, 1, (_number,), lambda k: series.infinitesimal_sum(k)),
+    "parity": Builtin(1, 1, (_number,), lambda n: n.parity()),
+    "class": Builtin(1, 1, (_number,), lambda n: n.classify()),
+    "evalat": Builtin(2, 2, (_number, _positive), lambda n, t: gnum(n.eval_at(t))),
+    "root": Builtin(2, 2, (_number, _degree), lambda n, d: nth_root(n, d)),
+    "hotel": Builtin(0, 1, (_number,), lambda *m: paradoxes.hilbert_accommodate(*m)),
+    "lamp": Builtin(1, 2, (_word, _number), lambda s, *k: paradoxes.thomson_lamp(s, *k)),
+    "torricelli": Builtin(0, 1, (_number,), lambda *h: paradoxes.torricelli(*h)),
+    "galileo": Builtin(0, 0, (), lambda: paradoxes.galileo_report()),
+    "multiplication": Builtin(0, 0, (), lambda: paradoxes.multiplication_report()),
 }
 
 
 # --- evaluation ----------------------------------------------------------------
 
-def _eval_power(left: Value, right: Value) -> Value:
+def _eval_power(left: Value, right: Value) -> GrossNumber:
     rv = _number("^", 2, right)
     if rv.classify() in (NumberClass.FINITE_PURE, NumberClass.ZERO):
         exponent = rv.as_rational()
         base = _number("^", 1, left)
         if exponent.denominator == 1:
-            return NumberV(pow_int(base, int(exponent)))
-        return NumberV(nth_root(pow_int(base, exponent.numerator), exponent.denominator))
+            return pow_int(base, int(exponent))
+        return nth_root(pow_int(base, exponent.numerator), exponent.denominator)
     # Exponent involves G: the base must be a plain nonnegative rational.
-    if not isinstance(left, NumberV) or left.value.classify() not in (
+    if not isinstance(left, GrossNumber) or left.classify() not in (
         NumberClass.FINITE_PURE,
         NumberClass.ZERO,
     ):
         raise EvalTypeError("^", 1, "a G-exponent needs a nonnegative rational base")
-    base_q = left.value.as_rational()
+    base_q = left.as_rational()
     if base_q < 0:
         raise EvalTypeError("^", 1, "a G-exponent needs a nonnegative rational base")
-    return NumberV(exp_gross(base_q, rv))
+    return exp_gross(base_q, rv)
 
 
-# Operator: (the function of both operands, the wrapper of its result).
+# The arithmetic operators give a number, the comparisons a bool.
 _OPERATORS = {
-    "+": (operator.add, NumberV),
-    "-": (operator.sub, NumberV),
-    "*": (operator.mul, NumberV),
-    "/": (operator.truediv, NumberV),
-    "<": (operator.lt, BoolV),
-    "<=": (operator.le, BoolV),
-    "=": (operator.eq, BoolV),
-    ">=": (operator.ge, BoolV),
-    ">": (operator.gt, BoolV),
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
 }
 
 
 def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, Literal):
-        return NumberV(gnum(expr.value))
+        return gnum(expr.value)
     if isinstance(expr, Grossone):
-        return NumberV(GROSSONE)
+        return GROSSONE
     if isinstance(expr, Name):
         raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
     if isinstance(expr, SetLit):
-        return IntSetV(tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items)))
+        return tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items))
     if isinstance(expr, Unary):
-        v = eval_expr(expr.operand)
-        return NumberV(-_number("-", 1, v))
+        return -_number("-", 1, eval_expr(expr.operand))
     if isinstance(expr, Binary) and expr.op == "^":
         return _eval_power(eval_expr(expr.left), eval_expr(expr.right))
-    if isinstance(expr, (Binary, Compare)):
+    if isinstance(expr, Binary):
         lv = _number(expr.op, 1, eval_expr(expr.left))
         rv = _number(expr.op, 2, eval_expr(expr.right))
-        op, wrap = _OPERATORS.get(expr.op, (None, None))
+        op = _OPERATORS.get(expr.op)
         if op is None:
             raise UnknownIdentifier(f"unknown operator '{expr.op}'")
-        return wrap(op(lv, rv))
+        return op(lv, rv)
     if isinstance(expr, Call):
         return _eval_call(expr)
     raise TypeError(f"not an expression: {expr!r}")
@@ -580,7 +518,7 @@ def eval_expr(expr: Expr) -> Value:
 
 def _eval_call(call: Call) -> Value:
     """Evaluate the arguments, look the name up, check the arity, coerce the
-    arguments left to right, call, wrap."""
+    arguments left to right and call; the library's result is the value."""
     name = call.name
     if name == "lamp":
         # The initial state is the bare word on/off, not an expression; it is
@@ -598,7 +536,7 @@ def _eval_call(call: Call) -> Value:
     _check_arity(name, args, spec.least, spec.most)
     last = len(spec.coercers) - 1
     coerced = [spec.coercers[min(i, last)](name, i + 1, v) for i, v in enumerate(args)]
-    return spec.wrap(spec.call(*coerced))
+    return spec.call(*coerced)
 
 
 def evaluate(text: str) -> Value:

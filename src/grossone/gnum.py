@@ -32,7 +32,6 @@ from .errors import (
     ZeroToZero,
 )
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 _ONE = Fraction(1)
@@ -157,12 +156,6 @@ class GrossNumber:
         if other is NotImplemented:
             return other
         return self.terms == other.terms
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return hash(self.terms)

@@ -23,7 +23,7 @@ from .errors import (
     NotPositive,
     ResidueOutOfRange,
 )
-from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root
+from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
 
 FirstLike = Union[int, GrossNumber]
 
@@ -117,8 +117,6 @@ class RootCount:
         return nth_root(self.radicand, self.degree)
 
     def bracket_ok(self) -> bool:
-        from .gnum import pow_int
-
         return pow_int(self.upper_value(), self.degree) == self.radicand
 
     def __str__(self) -> str:

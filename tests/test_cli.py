@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from grossone.cli import main
 
 
@@ -45,6 +47,35 @@ class TestEval:
         first = run(capsys, "--eval", "ramanujan()")
         second = run(capsys, "--eval", "ramanujan()")
         assert first == second
+
+
+class TestExpressionOptionValues:
+    """An expression option takes the next argument as its value, also when
+    that starts with "-", exactly as the "--option=value" form does."""
+
+    CASES = [
+        (("--eval", "-(9)"), 0, "-9\n", ""),
+        (("--eval", "-nat()"), 3, "", "error: -: argument 1: expected a number\n"),
+        (("--eval", "-G^-1"), 0, "-G^-1\n", ""),
+        (("paradox", "hilbert", "--m", "-(1)"), 3, "",
+         "error: newcomer count -1 must be a positive gross-integer\n"),
+        (("paradox", "thomson", "--switches", "-(1)"), 3, "",
+         "error: the number of switches must be positive\n"),
+        (("paradox", "torricelli", "--h", "-(G^-1)"), 3, "",
+         "error: width -G^-1 must be a single positive infinitesimal term\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, out, err", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_value_starting_with_minus(self, capsys, argv, code, out, err):
+        *head, option, value = argv
+        assert run(capsys, *argv) == (code, out, err)
+        assert run(capsys, *head, f"{option}={value}") == (code, out, err)
+
+    def test_missing_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--eval"])
+        assert exit_.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestScript:

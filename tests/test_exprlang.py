@@ -13,10 +13,9 @@ from grossone.errors import (
     UnknownIdentifier,
 )
 from grossone.exprlang import (
+    GROSSONE_GLYPH,
     Binary,
-    BoolV,
     Literal,
-    NumberV,
     TokenKind,
     Unary,
     evaluate,
@@ -25,6 +24,11 @@ from grossone.exprlang import (
     tokenize,
     value_json,
 )
+from grossone import exprlang
+from grossone.gnum import GrossNumber, NumberClass, Parity
+from grossone.paradoxes import ParadoxReport
+from grossone.series import RamanujanAudit
+from grossone.sets import EMPTY, AdjustedSet, EmptySet, GrossAP, RootCount
 
 from conftest import random_number
 
@@ -55,6 +59,15 @@ class TestTokenize:
             tokenize("1 + $")
         assert err.value.offset == 4
 
+    def test_offsets_count_utf8_bytes(self):
+        # The glyph takes three bytes.
+        with pytest.raises(LexError) as err:
+            tokenize("① @")
+        assert err.value.offset == 4
+        with pytest.raises(ParseError) as err:
+            parse(tokenize("① +"))
+        assert err.value.offset == 5
+
     def test_big_integers(self):
         tok = tokenize(str(10**40))[0]
         assert int(tok.lexeme) == 10**40
@@ -80,8 +93,14 @@ class TestParse:
         assert isinstance(expr.left, Literal)
         assert expr.right.op == "^"
 
+    def test_comparison_is_binary(self):
+        expr = parse(tokenize("G + 1 >= G"))
+        assert isinstance(expr, Binary)
+        assert expr.op == ">="
+        assert isinstance(expr.left, Binary) and expr.left.op == "+"
+
     def test_unary_minus_below_power(self):
-        assert evaluate("-2^2") == NumberV(evaluate("-(2^2)").value)
+        assert evaluate("-2^2") == evaluate("-(2^2)")
         assert print_value(evaluate("-2^2")) == "-4"
 
     def test_parse_error_position(self):
@@ -111,10 +130,10 @@ class TestEval:
         assert print_value(evaluate("grandi(G)")) == "0"
 
     def test_comparisons(self):
-        assert evaluate("G/2 < G") == BoolV(True)
-        assert evaluate("G + 1 > G") == BoolV(True)
-        assert evaluate("2^G >= G^100") == BoolV(True)
-        assert evaluate("G - G = 0") == BoolV(True)
+        assert evaluate("G/2 < G") is True
+        assert evaluate("G + 1 > G") is True
+        assert evaluate("2^G >= G^100") is True
+        assert evaluate("G - G = 0") is True
 
     def test_fractional_exponent_routes_to_root(self):
         assert print_value(evaluate("G^(1/2)")) == "G^(1/2)"
@@ -140,7 +159,7 @@ class TestEval:
             evaluate("card(7)")
 
     def test_lamp_takes_bare_state(self):
-        assert evaluate("lamp(on, G)").value.claims[0].value == "off"
+        assert evaluate("lamp(on, G)").claims[0].value == "off"
         with pytest.raises(EvalTypeError):
             evaluate("lamp(1, G)")
 
@@ -151,6 +170,40 @@ class TestEval:
 
     def test_set_literal_prints(self):
         assert print_value(evaluate("{3, 4, 5}")) == "{3,4,5}"
+
+
+class TestValues:
+    """Evaluation yields the library's own objects, one class per output row."""
+
+    CASES = {
+        "G + 1": GrossNumber,
+        "ap(1, 2)": GrossAP,
+        "addf(nat(), {0})": AdjustedSet,
+        "intersect(ap(1, 2), ap(2, 2))": EmptySet,
+        "parity(G)": Parity,
+        "class(G)": NumberClass,
+        "G > 1": bool,
+        "squares()": RootCount,
+        "hotel(1)": ParadoxReport,
+        "ramanujan()": RamanujanAudit,
+        "{1, 2}": tuple,
+    }
+
+    @pytest.mark.parametrize("text, cls", CASES.items())
+    def test_value_is_the_library_object(self, text, cls):
+        assert type(evaluate(text)) is cls
+
+    def test_every_output_row_is_covered(self):
+        assert set(self.CASES.values()) == set(exprlang._OUTPUT)
+
+    def test_singletons_and_literals(self):
+        assert evaluate("intersect(ap(1, 2), ap(2, 2))") is EMPTY
+        assert evaluate("{1, 2}") == (1, 2)
+
+    @pytest.mark.parametrize("render", [print_value, value_json])
+    def test_a_non_value_is_refused(self, render):
+        with pytest.raises(TypeError, match="not a value"):
+            render(1)
 
 
 class TestRoundTrip:
@@ -253,8 +306,8 @@ def test_precedence_matches_reference(tree):
         return
     text = render(tree)
     value = evaluate(text)
-    assert isinstance(value, NumberV)
-    assert value.value.as_rational() == expected
+    assert isinstance(value, GrossNumber)
+    assert value.as_rational() == expected
 
 
 @given(st.text(max_size=40))
@@ -267,3 +320,18 @@ def test_parser_totality(text):
         assert 0 <= err.offset <= len(text.encode("utf-8"))
     except ParseError as err:
         assert 0 <= err.offset <= len(text.encode("utf-8"))
+
+
+_LEXABLE = st.sampled_from(list("G①ab_éλ0129٣+-*/^(){},<>= \t\n"))
+
+
+@given(st.text(alphabet=_LEXABLE, max_size=60))
+def test_token_offsets_point_at_their_source(text):
+    data = text.encode("utf-8")
+    tokens = tokenize(text)
+    for tok in tokens[:-1]:
+        rest = data[tok.offset:]
+        assert rest.startswith(tok.lexeme.encode("utf-8")) or (
+            tok.kind is TokenKind.G and rest.startswith(GROSSONE_GLYPH.encode("utf-8"))
+        )
+    assert tokens[-1].kind is TokenKind.END and tokens[-1].offset == len(data)
