@@ -16,7 +16,6 @@ from .gnum import (
     exp_gross,
     floor_div_mod,
     format_number,
-    gnum,
     linear_gross_parts,
     normalize,
     nth_root,

@@ -251,28 +251,25 @@ class Parser:
             return inner
         if tok.kind is TokenKind.LBRACE:
             self.advance()
-            items: List[Expr] = []
-            if self.peek().kind is not TokenKind.RBRACE:
-                items.append(self.expression())
-                while self.peek().kind is TokenKind.COMMA:
-                    self.advance()
-                    items.append(self.expression())
-            self.expect(TokenKind.RBRACE, "'}'")
-            return SetLit(tuple(items))
+            return SetLit(self.items(TokenKind.RBRACE, "'}'"))
         if tok.kind is TokenKind.IDENT:
             self.advance()
             if self.peek().kind is TokenKind.LPAREN:
                 self.advance()
-                args: List[Expr] = []
-                if self.peek().kind is not TokenKind.RPAREN:
-                    args.append(self.expression())
-                    while self.peek().kind is TokenKind.COMMA:
-                        self.advance()
-                        args.append(self.expression())
-                self.expect(TokenKind.RPAREN, "')'")
-                return Call(tok.lexeme, tuple(args))
+                return Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
             return Name(tok.lexeme)
         raise ParseError(tok.offset, "expression")
+
+    def items(self, close: TokenKind, what: str) -> Tuple[Expr, ...]:
+        """A comma-separated list of expressions up to and including ``close``."""
+        items: List[Expr] = []
+        if self.peek().kind is not close:
+            items.append(self.expression())
+            while self.peek().kind is TokenKind.COMMA:
+                self.advance()
+                items.append(self.expression())
+        self.expect(close, what)
+        return tuple(items)
 
 
 def parse(tokens: List[Token]) -> Expr:

@@ -73,54 +73,34 @@ def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) ->
     return GrossTerm(Fraction(coeff), b, Fraction(gpow))
 
 
+def _operator(fn):
+    """A binary dunder: ``fn(self, gnum(other))`` for a gross-number or
+    rational ``other``, ``NotImplemented`` for anything else."""
+
+    def method(self, other):
+        if not isinstance(other, (GrossNumber, int, Fraction)):
+            return NotImplemented
+        return fn(self, gnum(other))
+
+    return method
+
+
 @dataclass(frozen=True, eq=False)
 class GrossNumber:
     """Canonical finite sum of :class:`GrossTerm`; the empty sum is zero."""
 
     terms: Tuple[GrossTerm, ...]
 
-    # -- construction and coercion ------------------------------------
-
-    @staticmethod
-    def from_rational(value: RationalLike) -> "GrossNumber":
-        c = Fraction(value)
-        if c == 0:
-            return ZERO
-        return GrossNumber((GrossTerm(c, _ONE, _ZERO),))
-
-    def _coerce(self, other) -> "GrossNumber":
-        if isinstance(other, GrossNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GrossNumber.from_rational(other)
-        return NotImplemented
-
     # -- ring structure -------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return normalize(self.terms + other.terms)
+    __add__ = __radd__ = _operator(lambda a, b: normalize(a.terms + b.terms))
+    __sub__ = _operator(lambda a, b: a + (-b))
+    __rsub__ = _operator(lambda a, b: (-a) + b)
+    __truediv__ = _operator(lambda a, b: div_exact(a, b))
+    __rtruediv__ = _operator(lambda a, b: div_exact(b, a))
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "GrossNumber":
-        return GrossNumber(tuple(GrossTerm(-t.coeff, t.base, t.gpow) for t in self.terms))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
+    @_operator
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
         raw = [
             GrossTerm(a.coeff * b.coeff, a.base * b.base, a.gpow + b.gpow)
             for a in self.terms
@@ -130,14 +110,8 @@ class GrossNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return div_exact(self, other)
-
-    def __rtruediv__(self, other):
-        return div_exact(GrossNumber.from_rational(other), self)
+    def __neg__(self) -> "GrossNumber":
+        return GrossNumber(tuple(GrossTerm(-t.coeff, t.base, t.gpow) for t in self.terms))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -151,38 +125,14 @@ class GrossNumber:
             return 0
         return 1 if self.terms[0].coeff > 0 else -1
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self.terms == other.terms
+    __eq__ = _operator(lambda a, b: a.terms == b.terms)
+    __lt__ = _operator(lambda a, b: compare(a, b) < 0)
+    __le__ = _operator(lambda a, b: compare(a, b) <= 0)
+    __gt__ = _operator(lambda a, b: compare(a, b) > 0)
+    __ge__ = _operator(lambda a, b: compare(a, b) >= 0)
 
     def __hash__(self):
         return hash(self.terms)
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return (self - other).sign() >= 0
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -277,7 +227,10 @@ G = GROSSONE
 
 def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     """A rational as a gross-number; a gross-number is returned unchanged."""
-    return value if isinstance(value, GrossNumber) else GrossNumber.from_rational(value)
+    if isinstance(value, GrossNumber):
+        return value
+    c = Fraction(value)
+    return GrossNumber((GrossTerm(c, _ONE, _ZERO),) if c else ())
 
 
 def normalize(raw: Iterable[GrossTerm]) -> GrossNumber:
@@ -294,19 +247,13 @@ def normalize(raw: Iterable[GrossTerm]) -> GrossNumber:
     return GrossNumber(terms)
 
 
-# -- free functions kept beside the methods --------------------------------
-
 def compare(a: GrossNumber, b) -> int:
     """-1, 0 or +1 as ``a`` is less than, equal to, or greater than ``b``."""
     return (a - gnum(b)).sign()
 
 
-def parity(x: GrossNumber) -> Parity:
-    return x.parity()
-
-
-def eval_at(a: GrossNumber, t: int) -> Fraction:
-    return a.eval_at(t)
+parity = GrossNumber.parity
+eval_at = GrossNumber.eval_at
 
 
 # -- division -----------------------------------------------------------------
@@ -335,12 +282,11 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
     # G-power in [minP(a)-minP(b), maxP(a)-maxP(b)].  A candidate outside
     # either interval proves the division inexact.
-    bases_a = [t.base for t in a.terms]
-    bases_b = [t.base for t in b.terms]
     pows_a = [t.gpow for t in a.terms]
     pows_b = [t.gpow for t in b.terms]
-    base_lo = min(bases_a) / min(bases_b)
-    base_hi = max(bases_a) / max(bases_b)
+    # Terms are sorted by base first, so the extreme bases are the end terms.
+    base_lo = a.terms[-1].base / b.terms[-1].base
+    base_hi = a.terms[0].base / b.terms[0].base
     pow_lo = min(pows_a) - min(pows_b)
     pow_hi = max(pows_a) - max(pows_b)
 
@@ -373,28 +319,23 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         raise NegativePowerOfSum(f"({a})^{k}: negative powers need a single term")
     result = ONE
     square = a
-    n = k
-    while n:
-        if n & 1:
+    while k:
+        if k & 1:
             result = result * square
-        n >>= 1
-        if n:
+        k >>= 1
+        if k:
             square = square * square
     return result
 
 
 def linear_gross_parts(e: GrossNumber) -> Tuple[int, int]:
     """Decompose ``e = a*G + d`` with integer a, d, or reject the shape."""
-    a = 0
-    d = 0
+    parts = {_ONE: 0, _ZERO: 0}  # G-power -> integer coefficient
     for t in e.terms:
-        if t.base == 1 and t.gpow == 1 and t.coeff.denominator == 1:
-            a = int(t.coeff)
-        elif t.base == 1 and t.gpow == 0 and t.coeff.denominator == 1:
-            d = int(t.coeff)
-        else:
+        if t.base != 1 or t.gpow not in parts or t.coeff.denominator != 1:
             raise ExponentNotLinearInGrossone(f"exponent {e} is not of the form a*G + d")
-    return a, d
+        parts[t.gpow] = int(t.coeff)
+    return parts[_ONE], parts[_ZERO]
 
 
 def exp_gross(b: RationalLike, e) -> GrossNumber:
@@ -417,7 +358,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
     coeff = base ** d
     expbase = base ** a
     if expbase == 1:
-        return GrossNumber.from_rational(coeff)
+        return gnum(coeff)
     return GrossNumber((GrossTerm(coeff, expbase, _ZERO),))
 
 
@@ -432,8 +373,7 @@ def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
     if not x.is_gross_integer():
         raise NotAGrossInteger(f"{x} is not a gross-integer")
     r = int(x.constant_coeff()) % n
-    q = (x - r) / gnum(n)
-    return q, r
+    return (x - r) / n, r
 
 
 def _iroot_exact(k: int, n: int):
@@ -455,6 +395,8 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     """Exact n-th root of a single-term number with a perfect-power coefficient."""
     if n <= 0:
         raise ValueError("root degree must be a positive integer")
+    if not a.terms:
+        return ZERO
     if len(a.terms) != 1:
         raise NotAMonomial(f"nth_root needs a single term, got {a}")
     t = a.terms[0]
@@ -472,25 +414,11 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
 # -- canonical rendering -------------------------------------------------------
 
 def _coeff_str(c: Fraction) -> str:
-    # Coefficient in front of a factor; fractions are parenthesized so the
-    # string reparses with the same precedence.
+    # A coefficient, exponential base or G-power; fractions are parenthesized
+    # so the string reparses with the same precedence.
     if c.denominator == 1:
         return str(c.numerator)
     return f"({c.numerator}/{c.denominator})"
-
-
-def _base_str(b: Fraction) -> str:
-    if b.denominator == 1:
-        return f"{b.numerator}^G"
-    return f"({b.numerator}/{b.denominator})^G"
-
-
-def _gpow_str(p: Fraction) -> str:
-    if p == 1:
-        return "G"
-    if p.denominator == 1:
-        return f"G^{p.numerator}"
-    return f"G^({p.numerator}/{p.denominator})"
 
 
 def _term_str(t: GrossTerm) -> str:
@@ -498,9 +426,9 @@ def _term_str(t: GrossTerm) -> str:
     c = abs(t.coeff)
     factors = []
     if t.base != 1:
-        factors.append(_base_str(t.base))
+        factors.append(_coeff_str(t.base) + "^G")
     if t.gpow != 0:
-        factors.append(_gpow_str(t.gpow))
+        factors.append("G" if t.gpow == 1 else "G^" + _coeff_str(t.gpow))
     if not factors:
         return str(c)
     if c != 1:

@@ -16,7 +16,6 @@ from grossone import (
     eval_at,
     galileo_report,
     geometric,
-    gnum,
     grandi,
     multiplication_report,
     powers_of_two_sum,
@@ -24,6 +23,7 @@ from grossone import (
     torricelli,
     triangular,
 )
+from grossone.gnum import gnum
 from grossone.cli import main
 from grossone.exprlang import evaluate, print_value
 from grossone.sets import EMPTY, ap_nat, cardinality, integers_set, intersect, scale

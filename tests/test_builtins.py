@@ -135,6 +135,16 @@ PINNED = {
         "2*G",
         '{"type": "number", "value": "2*G"}',
     ),
+    # A root of zero is zero; unlike the other entries, not pinned from the
+    # older evaluator, which rejected it.
+    "root(0, 2)": (
+        "0",
+        '{"type": "number", "value": "0"}',
+    ),
+    "0^(1/2)": (
+        "0",
+        '{"type": "number", "value": "0"}',
+    ),
     "hotel(3)": (
         (
             "Paradox: hilbert\n"
@@ -345,6 +355,7 @@ ERRORS = {
     "addf(nat(), {1}, 1/2)": "addf: argument 3: expected a finite integer",
     "root(G, 0)": "root: argument 2: expected a positive integer degree",
     "evalat(G, 0)": "evalat: argument 2: expected a positive integer",
+    "0^(-1/2)": "zero has no negative powers",
     "lamp()": "lamp: argument 0: expected 1..2 argument(s), got 0",
     "lamp(x, 1/0)": "lamp: argument 1: expected 'on' or 'off'",
     "lamp(on, 1, 1/0)": "lamp: argument 3: expected 1..2 argument(s), got 3",

@@ -1,5 +1,7 @@
 """Unit tests for the core arithmetic."""
 
+import operator
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,13 @@ from grossone import (
     eval_at,
     exp_gross,
     floor_div_mod,
-    gnum,
     normalize,
     nth_root,
     parity,
     pow_int,
     term,
 )
+from grossone.gnum import gnum
 from grossone.errors import (
     BaseRootUnsupported,
     CoefficientNotPerfectPower,
@@ -261,6 +263,14 @@ class TestNthRoot:
     def test_degree_one(self):
         assert nth_root(G, 1) == G
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_root_of_zero_is_zero(self, n):
+        assert nth_root(gnum(0), n) == 0
+
+    def test_root_of_zero_still_needs_a_positive_degree(self):
+        with pytest.raises(ValueError):
+            nth_root(gnum(0), 0)
+
 
 class TestEvalAt:
     def test_substitution(self):
@@ -284,3 +294,54 @@ class TestFormat:
         assert str(G * (G + 1) / 2) == "(1/2)*G^2 + (1/2)*G"
         assert str(2 * G**-1) == "2*G^-1"
         assert str(gnum(Fraction(7, 8))) == "7/8"
+
+    def test_bases_and_powers(self):
+        assert str(G**-2) == "G^-2"
+        assert str(nth_root(G, 2) ** -1) == "G^(-1/2)"
+        assert str(exp_gross(3, G)) == "3^G"
+        assert str(exp_gross(Fraction(1, 2), G) * nth_root(G, 2)) == "(1/2)^G*G^(1/2)"
+        assert str(normalize([term(Fraction(-3, 4), Fraction(2, 3), Fraction(-5, 7))])) == (
+            "-(3/4)*(2/3)^G*G^(-5/7)"
+        )
+
+
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+class TestOperandCoercion:
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    @pytest.mark.parametrize("r", [3, Fraction(-2, 5)])
+    @pytest.mark.parametrize("x", [2 * G, gnum(3)])
+    def test_a_rational_on_either_side_acts_as_a_gross_number(self, op, r, x):
+        fn = OPERATORS[op]
+        assert fn(x, r) == fn(x, gnum(r))
+        assert fn(r, x) == fn(gnum(r), x)
+
+    @pytest.mark.parametrize("op", sorted(set(OPERATORS) - {"=="}))
+    def test_a_string_on_either_side_is_a_type_error(self, op):
+        fn = OPERATORS[op]
+        with pytest.raises(TypeError):
+            fn(G, "x")
+        with pytest.raises(TypeError):
+            fn("x", G)
+
+    def test_a_string_is_never_equal(self):
+        assert (G == "x") is False
+        assert ("x" == G) is False
+
+
+def test_grossone_gnum_is_the_submodule():
+    import grossone.gnum as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.gnum(3) == 3

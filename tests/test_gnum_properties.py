@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from grossone import GrossNumber, eval_at, floor_div_mod, gnum, normalize, term
+from grossone import GrossNumber, eval_at, floor_div_mod, normalize, term
+from grossone.gnum import gnum
 
 from conftest import BASE_POOL, random_number, sign_stabilizes
 

@@ -12,12 +12,12 @@ from grossone import (
     eval_at,
     exp_gross,
     galileo_report,
-    gnum,
     hilbert_accommodate,
     multiplication_report,
     thomson_lamp,
     torricelli,
 )
+from grossone.gnum import gnum
 from grossone.errors import (
     CountNotGrossInteger,
     NotInfinitesimalWidth,

@@ -11,7 +11,6 @@ from grossone import (
     eval_at,
     exp_gross,
     geometric,
-    gnum,
     grandi,
     grandi_rearranged,
     infinitesimal_sum,
@@ -19,6 +18,7 @@ from grossone import (
     ramanujan_audit,
     triangular,
 )
+from grossone.gnum import gnum
 from grossone.errors import ExponentNotLinearInGrossone, OddLength, UnitRatio
 
 

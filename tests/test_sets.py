@@ -13,7 +13,6 @@ from grossone import (
     element_at,
     eval_at,
     evens,
-    gnum,
     integers_set,
     intersect,
     last_element,
@@ -24,6 +23,7 @@ from grossone import (
     scale,
     squares_count,
 )
+from grossone.gnum import gnum
 from grossone.errors import (
     ElementAlreadyPresent,
     ElementNotPresent,
