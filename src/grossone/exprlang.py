@@ -303,7 +303,7 @@ _OUTPUT = {
     NumberClass: ("class", _enum_value, _field(_enum_value)),
     bool: ("bool", lambda b: "true" if b else "false", _field(bool)),
     RootCount: ("count", str, _field(str)),
-    ParadoxReport: ("report", ParadoxReport.render_text, ParadoxReport.to_json),
+    ParadoxReport: ("report", str, ParadoxReport.to_json),
     RamanujanAudit: ("audit", str, RamanujanAudit.to_json),
     tuple: ("intset", lambda xs: "{" + ",".join(str(x) for x in xs) + "}", _field(list)),
 }

@@ -65,12 +65,19 @@ class GrossTerm:
         return (self.base, self.gpow)
 
 
+def _rational(x: RationalLike) -> Fraction:
+    """An ``int`` or a ``Fraction`` as a ``Fraction``; no floats, no strings."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
 def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) -> GrossTerm:
     """Build a term, coercing arguments to exact rationals."""
-    b = Fraction(base)
+    b = _rational(base)
     if b <= 0:
         raise ValueError("exponential base must be positive")
-    return GrossTerm(Fraction(coeff), b, Fraction(gpow))
+    return GrossTerm(_rational(coeff), b, _rational(gpow))
 
 
 def _operator(fn):
@@ -229,7 +236,7 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     """A rational as a gross-number; a gross-number is returned unchanged."""
     if isinstance(value, GrossNumber):
         return value
-    c = Fraction(value)
+    c = _rational(value)
     return GrossNumber((GrossTerm(c, _ONE, _ZERO),) if c else ())
 
 
@@ -344,7 +351,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
     The result is the single term ``b**d * (b**a)**G``.  Base 0 is admitted
     only with a positive exponent, realizing the axiom ``0**G == 0``.
     """
-    base = Fraction(b)
+    base = _rational(b)
     e = gnum(e)
     a, d = linear_gross_parts(e)
     if base == 0:

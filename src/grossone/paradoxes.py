@@ -54,7 +54,7 @@ class ParadoxReport:
     def resolved(self) -> bool:
         return all(c.ok for c in self.claims)
 
-    def render_text(self) -> str:
+    def __str__(self) -> str:
         lines = [f"Paradox: {self.name}"]
         for c in self.claims:
             mark = "ok" if c.ok else "FAIL"
@@ -71,9 +71,6 @@ class ParadoxReport:
             ],
             "resolved": self.resolved,
         }
-
-    def __str__(self) -> str:
-        return self.render_text()
 
 
 def galileo_report() -> ParadoxReport:

@@ -10,7 +10,6 @@ addends is decided by the parity of ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotAGrossInteger, NotPositive, OddLength, UnitRatio
 from .gnum import (
@@ -18,6 +17,7 @@ from .gnum import (
     GrossNumber,
     Parity,
     RationalLike,
+    _rational,
     exp_gross,
     floor_div_mod,
     gnum,
@@ -68,16 +68,13 @@ def geometric(q: RationalLike, k) -> GrossNumber:
     A negative ratio is fine: ``q**k == (-1)**k * |q|**k`` and the sign of
     ``(-1)**k`` is decided by the parity of ``k``.
     """
-    q = Fraction(q)
+    q = _rational(q)
     if q == 1:
         raise UnitRatio("ratio 1 has no geometric closed form; use ap_sum")
     k = gnum(k)
-    if q < 0:
-        qk = exp_gross(-q, k)
-        if k.parity() is Parity.ODD:
-            qk = -qk
-    else:
-        qk = exp_gross(q, k)
+    qk = exp_gross(abs(q), k)
+    if q < 0 and k.parity() is Parity.ODD:
+        qk = -qk
     return (qk - 1) * q / (q - 1)
 
 

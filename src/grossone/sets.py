@@ -4,8 +4,8 @@ gross-integer element counts, plus finite adjustments.
 Every set handled here is an arithmetic progression ``{first + (i-1)*step}``
 for ``1 <= i <= count`` where ``count`` is a positive gross-integer.  The
 natural numbers are ``AP(1, 1, G)``, their n-th parts ``AP(k, n, G/n)``, the
-integers ``AP(-G, 1, 2*G + 1)``.  Progressions whose first element is itself
-infinite (the integers, tails of doubled sets) support only cardinality, last
+integers ``AP(-G, 1, 2*G + 1)``.  Progressions whose first element (always a
+gross-number) is infinite, like the integers, support only cardinality, last
 element and membership; richer operations reject them.
 """
 
@@ -25,38 +25,22 @@ from .errors import (
 )
 from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
 
-FirstLike = Union[int, GrossNumber]
-
-
-def _as_first(value: FirstLike):
-    """Collapse a finite pure integer gross-number back to a plain int."""
-    if isinstance(value, GrossNumber):
-        if not value.terms:
-            return 0
-        if len(value.terms) == 1 and value.terms[0].key == (1, 0) and value.terms[0].coeff.denominator == 1:
-            return int(value.terms[0].coeff)
-    return value
-
 
 @dataclass(frozen=True)
 class GrossAP:
     """Arithmetic progression with a gross-integer number of elements."""
 
-    first: FirstLike
+    first: GrossNumber
     step: int
     count: GrossNumber
 
     def __post_init__(self):
-        object.__setattr__(self, "first", _as_first(self.first))
+        object.__setattr__(self, "first", gnum(self.first))
         object.__setattr__(self, "count", gnum(self.count))
         if self.step <= 0:
             raise NotPositive("step must be a positive integer")
         if not self.count.is_gross_integer() or self.count.sign() <= 0:
             raise NotPositive("count must be a positive gross-integer")
-
-    @property
-    def last(self) -> GrossNumber:
-        return gnum(self.first) + (self.count - 1) * self.step
 
     def __str__(self) -> str:
         return f"AP(first={self.first}, step={self.step}, count={self.count})"
@@ -81,13 +65,6 @@ class AdjustedSet:
 
 class EmptySet:
     """The empty intersection result."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __str__(self) -> str:
         return "Empty"
@@ -166,11 +143,11 @@ def element_at(s: GrossAP, i) -> GrossNumber:
     idx = gnum(i)
     if not idx.is_gross_integer() or idx.sign() <= 0 or idx > s.count:
         raise IndexOutOfRange(f"index {idx} outside 1..{s.count}")
-    return gnum(s.first) + (idx - 1) * s.step
+    return s.first + (idx - 1) * s.step
 
 
 def last_element(s: GrossAP) -> GrossNumber:
-    return s.last
+    return s.first + (s.count - 1) * s.step
 
 
 def member(s: SetLike, x) -> bool:
@@ -181,18 +158,17 @@ def member(s: SetLike, x) -> bool:
     """
     if isinstance(s, EmptySet):
         return False
-    if isinstance(s, AdjustedSet):
-        if isinstance(x, int):
-            if x in s.added:
-                return True
-            if x in s.removed:
-                return False
-        return member(s.base, x)
     value = gnum(x)
-    offset = value - gnum(s.first)
+    if isinstance(s, AdjustedSet):
+        if value in s.added:
+            return True
+        if value in s.removed:
+            return False
+        return member(s.base, value)
+    offset = value - s.first
     if offset.sign() < 0:
         return False
-    if value > s.last:
+    if value > last_element(s):
         return False
     if not offset.is_gross_integer():
         return False
@@ -208,21 +184,21 @@ def intersect(a: GrossAP, b: GrossAP):
     Returns a :class:`GrossAP` on the combined residue class, or ``EMPTY``
     when the residues are incompatible or the ranges miss each other.
     """
-    if not isinstance(a.first, int) or not isinstance(b.first, int):
+    if any(s.first.infinite_part() or not s.first.is_gross_integer() for s in (a, b)):
         raise GrossFirstUnsupported("intersection needs finite first elements")
+    a_first, b_first = int(a.first.constant_coeff()), int(b.first.constant_coeff())
     g = math.gcd(a.step, b.step)
-    if (b.first - a.first) % g != 0:
+    if (b_first - a_first) % g != 0:
         return EMPTY
     lcm = a.step // g * b.step
     m = b.step // g
     k = 0
     if m > 1:
-        k = (b.first - a.first) // g * pow(a.step // g, -1, m) % m
-    residue = (a.first + a.step * k) % lcm
-    lo = max(a.first, b.first)
+        k = (b_first - a_first) // g * pow(a.step // g, -1, m) % m
+    residue = (a_first + a.step * k) % lcm
+    lo = max(a_first, b_first)
     first = lo + (residue - lo) % lcm
-    last = a.last if a.last <= b.last else b.last
-    span = last - first
+    span = min(last_element(a), last_element(b)) - first
     if span.sign() < 0:
         return EMPTY
     q, _ = floor_div_mod(span, lcm)
@@ -233,40 +209,35 @@ def scale(s: GrossAP, m: int) -> GrossAP:
     """Multiply every element by m; the element count is unchanged."""
     if m <= 0:
         raise NotPositive("scale factor must be a positive integer")
-    first = s.first * m if isinstance(s.first, int) else gnum(s.first) * m
-    return GrossAP(first, s.step * m, s.count)
+    return GrossAP(s.first * m, s.step * m, s.count)
 
 
-def _as_adjusted(s: Union[GrossAP, AdjustedSet]) -> AdjustedSet:
-    return s if isinstance(s, AdjustedSet) else AdjustedSet(s)
+def _adjust(s: Union[GrossAP, AdjustedSet], elems, adding: bool) -> AdjustedSet:
+    """Add or remove the integers ``elems``, checked in increasing order; a
+    change first undoes the opposite change to the same element."""
+    adj = s if isinstance(s, AdjustedSet) else AdjustedSet(s)
+    added = set(adj.added)
+    removed = set(adj.removed)
+    undo, record = (removed, added) if adding else (added, removed)
+    for x in sorted(set(int(e) for e in elems)):
+        present = member(adj, x)
+        if adding and present:
+            raise ElementAlreadyPresent(f"{x} is already in the set")
+        if not adding and not present:
+            raise ElementNotPresent(f"{x} is not in the set")
+        if x in undo:
+            undo.discard(x)
+        else:
+            record.add(x)
+    return AdjustedSet(adj.base, tuple(sorted(added)), tuple(sorted(removed)))
 
 
 def add_finite(s: Union[GrossAP, AdjustedSet], elems) -> AdjustedSet:
-    adj = _as_adjusted(s)
-    added = set(adj.added)
-    removed = set(adj.removed)
-    for x in sorted(set(int(e) for e in elems)):
-        if x in removed:
-            removed.discard(x)
-        elif x in added or member(adj.base, x):
-            raise ElementAlreadyPresent(f"{x} is already in the set")
-        else:
-            added.add(x)
-    return AdjustedSet(adj.base, tuple(sorted(added)), tuple(sorted(removed)))
+    return _adjust(s, elems, adding=True)
 
 
 def remove_finite(s: Union[GrossAP, AdjustedSet], elems) -> AdjustedSet:
-    adj = _as_adjusted(s)
-    added = set(adj.added)
-    removed = set(adj.removed)
-    for x in sorted(set(int(e) for e in elems)):
-        if x in added:
-            added.discard(x)
-        elif x not in removed and member(adj.base, x):
-            removed.add(x)
-        else:
-            raise ElementNotPresent(f"{x} is not in the set")
-    return AdjustedSet(adj.base, tuple(sorted(added)), tuple(sorted(removed)))
+    return _adjust(s, elems, adding=False)
 
 
 def couples_count(a: SetLike, b: SetLike) -> GrossNumber:

@@ -83,6 +83,41 @@ PINNED = {
             '- {2,4}"}'
         ),
     ),
+    "scale(ints(), 3)": (
+        "AP(first=-3*G, step=3, count=2*G + 1)",
+        '{"type": "set", "value": "AP(first=-3*G, step=3, count=2*G + 1)"}',
+    ),
+    "last(scale(ints(), 2))": (
+        "2*G",
+        '{"type": "number", "value": "2*G"}',
+    ),
+    "at(scale(ints(), 3), 2)": (
+        "-3*G + 3",
+        '{"type": "number", "value": "-3*G + 3"}',
+    ),
+    "intersect(scale(nat(), 3), ap(2, 4))": (
+        "AP(first=6, step=12, count=(1/12)*G)",
+        '{"type": "set", "value": "AP(first=6, step=12, count=(1/12)*G)"}',
+    ),
+    "addf(remf(nat(), {3}), {3})": (
+        "AP(first=1, step=1, count=G)",
+        '{"type": "set", "value": "AP(first=1, step=1, count=G)"}',
+    ),
+    "remf(addf(nat(), {0}), {0, 3})": (
+        "AP(first=1, step=1, count=G) - {3}",
+        '{"type": "set", "value": "AP(first=1, step=1, count=G) - {3}"}',
+    ),
+    # An adjusted set answers for its added and removed elements; the older
+    # evaluator looked at them only for a Python int, never for a number of the
+    # language, and answered these two the other way round.
+    "member(remf(nat(), {5}), 5)": (
+        "false",
+        '{"type": "bool", "value": false}',
+    ),
+    "member(addf(nat(), {-3}), -3)": (
+        "true",
+        '{"type": "bool", "value": true}',
+    ),
     "couples(evens(), ints())": (
         "G^2 + (1/2)*G",
         '{"type": "number", "value": "G^2 + (1/2)*G"}',
@@ -339,7 +374,8 @@ def test_paradox_flag_that_does_not_parse_is_a_parse_error(capsys):
 # Error messages as the evaluator reported them before the builtin table.
 # Arguments are evaluated before the name is looked up and before the arity is
 # checked; the arity is checked before any argument is coerced, and lamp's
-# bare word before its second argument is evaluated.
+# bare word before its second argument is evaluated.  ``addf`` and ``remf``
+# check their elements in increasing order and report the first that fails.
 ERRORS = {
     "foo(1/0)": "division by zero",
     "foo()": "unknown function 'foo'",
@@ -352,6 +388,12 @@ ERRORS = {
     "ap(1/2, 3)": "ap: argument 1: expected a finite integer",
     "geo(G, 2)": "geo: argument 1: expected a finite rational",
     "at(addf(nat(), {0}), 1)": "at: argument 1: expected an arithmetic progression",
+    "intersect(ints(), nat())": "intersection needs finite first elements",
+    "addf(nat(), {4})": "4 is already in the set",
+    "remf(nat(), {0})": "0 is not in the set",
+    "addf(nat(), {5, 4})": "4 is already in the set",
+    "remf(nat(), {0, -1})": "-1 is not in the set",
+    "remf(addf(evens(), {1}), {1, 2, 5})": "5 is not in the set",
     "addf(nat(), {1}, 1/2)": "addf: argument 3: expected a finite integer",
     "root(G, 0)": "root: argument 2: expected a positive integer degree",
     "evalat(G, 0)": "evalat: argument 2: expected a positive integer",

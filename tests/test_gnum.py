@@ -14,6 +14,7 @@ from grossone import (
     eval_at,
     exp_gross,
     floor_div_mod,
+    geometric,
     normalize,
     nth_root,
     parity,
@@ -318,6 +319,18 @@ OPERATORS = {
 }
 
 
+# Each place that takes a plain rational: an int or a Fraction, nothing else.
+RATIONAL_ONLY = {
+    "gnum": lambda x: gnum(x),
+    "compare": lambda x: compare(G, x),
+    "term-coeff": lambda x: term(x),
+    "term-base": lambda x: term(1, x),
+    "term-gpow": lambda x: term(1, 1, x),
+    "exp_gross-base": lambda x: exp_gross(x, G),
+    "geometric-ratio": lambda x: geometric(x, G),
+}
+
+
 class TestOperandCoercion:
     @pytest.mark.parametrize("op", sorted(OPERATORS))
     @pytest.mark.parametrize("r", [3, Fraction(-2, 5)])
@@ -338,6 +351,12 @@ class TestOperandCoercion:
     def test_a_string_is_never_equal(self):
         assert (G == "x") is False
         assert ("x" == G) is False
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2"])
+    @pytest.mark.parametrize("where", sorted(RATIONAL_ONLY))
+    def test_a_float_or_a_string_is_not_a_rational(self, where, bad):
+        with pytest.raises(TypeError):
+            RATIONAL_ONLY[where](bad)
 
 
 def test_grossone_gnum_is_the_submodule():

@@ -66,13 +66,13 @@ class TestHilbert:
     def test_single_newcomer(self):
         report = hilbert_accommodate(1)
         assert report.resolved
-        text = report.render_text()
+        text = str(report)
         assert "AP(first=G, step=1, count=1)" in text
 
     def test_five_newcomers(self):
         report = hilbert_accommodate(5)
         assert report.resolved
-        assert "AP(first=G - 4, step=1, count=5)" in report.render_text()
+        assert "AP(first=G - 4, step=1, count=5)" in str(report)
 
     def test_full_turnover(self):
         report = hilbert_accommodate(G)

@@ -1,6 +1,7 @@
 """Set algebra: examples plus the finite-substitution enumeration oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ from grossone import (
     scale,
     squares_count,
 )
-from grossone.gnum import gnum
+from grossone.gnum import GrossNumber, gnum
 from grossone.errors import (
     ElementAlreadyPresent,
     ElementNotPresent,
@@ -51,6 +52,11 @@ class TestConstructors:
             ap_nat(6, 5)
         with pytest.raises(ResidueOutOfRange):
             ap_nat(0, 3)
+
+    def test_first_is_a_gross_number(self):
+        for s in (GrossAP(5, 1, G), ap_nat(2, 3), scale(naturals(), 2), integers_set()):
+            assert isinstance(s.first, GrossNumber)
+        assert GrossAP(5, 1, G).first == 5
 
     def test_integers(self):
         z = integers_set()
@@ -126,6 +132,12 @@ class TestIntersect:
         with pytest.raises(GrossFirstUnsupported):
             intersect(integers_set(), naturals())
 
+    def test_rejects_fractional_first(self):
+        with pytest.raises(GrossFirstUnsupported):
+            intersect(GrossAP(Fraction(1, 2), 1, G), naturals())
+        with pytest.raises(GrossFirstUnsupported):
+            intersect(naturals(), GrossAP(Fraction(1, 2), 1, G))
+
 
 class TestScale:
     def test_doubling_naturals(self):
@@ -166,6 +178,15 @@ class TestAdjustments:
         assert member(s, 8)
         assert not member(s, 3)
         assert member(s, 5)
+
+    def test_membership_of_a_gross_number(self):
+        # The expression language always asks with a GrossNumber.
+        s = add_finite(remove_finite(naturals(), [5]), [-3])
+        assert not member(s, gnum(5))
+        assert member(s, gnum(-3))
+        assert member(s, gnum(6))
+        assert not member(s, gnum(-2))
+        assert member(s, G)
 
 
 class TestCounts:
