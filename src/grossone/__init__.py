@@ -45,7 +45,6 @@ from .sets import (
     squares_count,
 )
 from .series import (
-    GrandiResult,
     RamanujanAudit,
     ap_sum,
     geometric,

@@ -45,19 +45,24 @@ def _join_expression_values(argv: list) -> list:
     return joined
 
 
-def _classify_error(exc: GrossoneError) -> int:
-    if isinstance(exc, (LexError, ParseError)):
-        return EXIT_PARSE
-    return EXIT_EVAL
+def _error(exc: GrossoneError, prefix: str = "") -> int:
+    """Print the error and return the exit code it maps to."""
+    print(f"{prefix}error: {exc}", file=sys.stderr)
+    return EXIT_PARSE if isinstance(exc, (LexError, ParseError)) else EXIT_EVAL
 
 
-def run_eval(expr: str, as_json: bool) -> int:
+def _run_line(line: str, as_json: bool, lineno: Optional[int] = None) -> int:
+    """Evaluate one line and print its value or error; a script gives ``lineno``."""
     try:
-        value = evaluate(expr)
+        value = evaluate(line)
     except GrossoneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _classify_error(exc)
-    print(json.dumps(value_json(value)) if as_json else print_value(value))
+        return _error(exc, "" if lineno is None else f"line {lineno}: ")
+    if lineno is None:
+        print(json.dumps(value_json(value)) if as_json else print_value(value))
+    elif as_json:
+        print(json.dumps({"input": line, **value_json(value)}))
+    else:
+        print(f"{line} => {print_value(value)}")
     return EXIT_OK
 
 
@@ -72,15 +77,9 @@ def run_script(path: str, as_json: bool) -> int:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        try:
-            value = evaluate(stripped)
-        except GrossoneError as exc:
-            print(f"line {lineno}: error: {exc}", file=sys.stderr)
-            return _classify_error(exc)
-        if as_json:
-            print(json.dumps({"input": stripped, **value_json(value)}))
-        else:
-            print(f"{stripped} => {print_value(value)}")
+        code = _run_line(stripped, as_json, lineno)
+        if code != EXIT_OK:
+            return code
     return EXIT_OK
 
 
@@ -93,8 +92,7 @@ def run_paradox(name: str, args: argparse.Namespace, as_json: bool) -> int:
         # Each flag value is an expression, evaluated as an argument of the builtin.
         report = eval_expr(Call(builtin, tuple(parse(tokenize(getattr(args, f))) for f in flags)))
     except GrossoneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _classify_error(exc)
+        return _error(exc)
     # Unlike --eval's, the report's JSON object carries no "type" key.
     print(json.dumps(report.to_json()) if as_json else print_value(report))
     return EXIT_OK if report.resolved else EXIT_EVAL
@@ -116,12 +114,7 @@ def run_repl() -> int:
         if line == ":json":
             as_json = not as_json
             continue
-        try:
-            value = evaluate(line)
-        except GrossoneError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        print(json.dumps(value_json(value)) if as_json else print_value(value))
+        _run_line(line, as_json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +146,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "paradox":
         return run_paradox(args.name, args, args.json)
     if args.expr is not None:
-        return run_eval(args.expr, args.json)
+        return _run_line(args.expr, args.json)
     if args.script is not None:
         return run_script(args.script, args.json)
     return run_repl()

@@ -16,8 +16,8 @@ class DivisionByZero(GrossoneError, ZeroDivisionError):
 
 
 class NotPositive(GrossoneError, ValueError):
-    """A count of addends or switches, a scale factor or a progression's step
-    or element count that must be positive is not."""
+    """A count, step, scale factor, root degree, point substituted for G or
+    exponential base that must be positive is not (``exp_gross`` admits 0)."""
 
 
 class NotExactlyDivisible(GrossoneError):

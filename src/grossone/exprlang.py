@@ -77,18 +77,7 @@ class Token:
     offset: int
 
 
-_SINGLE = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-}
+_SINGLE = {c: TokenKind(c) for c in "+-*/^(){},"}
 
 
 def tokenize(text: str) -> List[Token]:
@@ -135,12 +124,7 @@ def tokenize(text: str) -> List[Token]:
 
 @dataclass(frozen=True)
 class Literal:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Grossone:
-    pass
+    value: Union[Fraction, GrossNumber]  # an integer as a Fraction; G as GROSSONE
 
 
 @dataclass(frozen=True)
@@ -172,7 +156,7 @@ class SetLit:
     items: Tuple["Expr", ...]
 
 
-Expr = Union[Literal, Grossone, Name, Unary, Binary, Call, SetLit]
+Expr = Union[Literal, Name, Unary, Binary, Call, SetLit]
 
 
 class Parser:
@@ -243,7 +227,7 @@ class Parser:
             return Literal(Fraction(int(tok.lexeme)))
         if tok.kind is TokenKind.G:
             self.advance()
-            return Grossone()
+            return Literal(GROSSONE)
         if tok.kind is TokenKind.LPAREN:
             self.advance()
             inner = self.expression()
@@ -436,7 +420,7 @@ BUILTINS = {
     "tri": Builtin(1, 1, (_number,), lambda n: series.triangular(n)),
     "geo": Builtin(2, 2, (_rational, _number), lambda q, k: series.geometric(q, k)),
     "x2": Builtin(1, 1, (_number,), lambda k: series.powers_of_two_sum(k)),
-    "grandi": Builtin(1, 1, (_number,), lambda k: gnum(series.grandi(k).value)),
+    "grandi": Builtin(1, 1, (_number,), lambda k: series.grandi(k)),
     "grandirr": Builtin(1, 1, (_number,), lambda k: series.grandi_rearranged(k)),
     "ramanujan": Builtin(0, 1, (_number,), lambda *n: series.ramanujan_audit(*n)),
     "tsum": Builtin(1, 1, (_number,), lambda k: series.infinitesimal_sum(k)),
@@ -454,24 +438,22 @@ BUILTINS = {
 
 # --- evaluation ----------------------------------------------------------------
 
+_RATIONAL_CLASSES = (NumberClass.FINITE_PURE, NumberClass.ZERO)  # of a plain rational
+
+
 def _eval_power(left: Value, right: Value) -> GrossNumber:
     rv = _number("^", 2, right)
-    if rv.classify() in (NumberClass.FINITE_PURE, NumberClass.ZERO):
+    if rv.classify() in _RATIONAL_CLASSES:
         exponent = rv.as_rational()
         base = _number("^", 1, left)
         if exponent.denominator == 1:
             return pow_int(base, int(exponent))
         return nth_root(pow_int(base, exponent.numerator), exponent.denominator)
     # Exponent involves G: the base must be a plain nonnegative rational.
-    if not isinstance(left, GrossNumber) or left.classify() not in (
-        NumberClass.FINITE_PURE,
-        NumberClass.ZERO,
-    ):
+    if not (isinstance(left, GrossNumber) and left.classify() in _RATIONAL_CLASSES
+            and left.sign() >= 0):
         raise EvalTypeError("^", 1, "a G-exponent needs a nonnegative rational base")
-    base_q = left.as_rational()
-    if base_q < 0:
-        raise EvalTypeError("^", 1, "a G-exponent needs a nonnegative rational base")
-    return exp_gross(base_q, rv)
+    return exp_gross(left.as_rational(), rv)
 
 
 # The arithmetic operators give a number, the comparisons a bool.
@@ -491,8 +473,6 @@ _OPERATORS = {
 def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, Literal):
         return gnum(expr.value)
-    if isinstance(expr, Grossone):
-        return GROSSONE
     if isinstance(expr, Name):
         raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
     if isinstance(expr, SetLit):

@@ -29,6 +29,7 @@ from .errors import (
     NotAGrossInteger,
     NotAMonomial,
     NotExactlyDivisible,
+    NotPositive,
     ZeroToZero,
 )
 
@@ -76,7 +77,7 @@ def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) ->
     """Build a term, coercing arguments to exact rationals."""
     b = _rational(base)
     if b <= 0:
-        raise ValueError("exponential base must be positive")
+        raise NotPositive("exponential base must be positive")
     return GrossTerm(_rational(coeff), b, _rational(gpow))
 
 
@@ -209,7 +210,7 @@ class GrossNumber:
     def eval_at(self, t: int) -> Fraction:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
         if t <= 0:
-            raise ValueError("substitution point must be a positive integer")
+            raise NotPositive("substitution point must be a positive integer")
         total = _ZERO
         for trm in self.terms:
             if trm.gpow.denominator != 1:
@@ -361,7 +362,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
             raise ZeroToZero("0^0 is undefined")
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
-        raise ValueError("exponential base must be nonnegative")
+        raise NotPositive("exponential base must be nonnegative")
     coeff = base ** d
     expbase = base ** a
     if expbase == 1:
@@ -401,7 +402,7 @@ def _iroot_exact(k: int, n: int):
 def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     """Exact n-th root of a single-term number with a perfect-power coefficient."""
     if n <= 0:
-        raise ValueError("root degree must be a positive integer")
+        raise NotPositive("root degree must be a positive integer")
     if not a.terms:
         return ZERO
     if len(a.terms) != 1:

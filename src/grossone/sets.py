@@ -48,9 +48,9 @@ class GrossAP:
 
 @dataclass(frozen=True)
 class AdjustedSet:
-    """A progression with finitely many integers added and removed."""
+    """A progression or the empty set with finitely many integers added and removed."""
 
-    base: GrossAP
+    base: Union[GrossAP, EmptySet]
     added: Tuple[int, ...] = ()
     removed: Tuple[int, ...] = ()
 
@@ -135,7 +135,7 @@ def cardinality(s: SetLike) -> GrossNumber:
     if isinstance(s, EmptySet):
         return gnum(0)
     if isinstance(s, AdjustedSet):
-        return s.base.count + len(s.added) - len(s.removed)
+        return cardinality(s.base) + len(s.added) - len(s.removed)
     return s.count
 
 

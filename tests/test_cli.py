@@ -189,3 +189,52 @@ class TestRepl:
     def test_eof_exits_cleanly(self, monkeypatch, capsys):
         code, _, _ = self.feed(monkeypatch, capsys, "1+1\n")
         assert code == 0
+
+
+# One value line, one evaluation error and one lex error through every runner:
+# stdout, stderr and exit code byte for byte.
+VALUE, EVAL_ERROR, LEX_ERROR = "G+1", "(G+1)/(G-1)", "@"
+EVAL_MESSAGE = "error: (G + 1) is not exactly divisible by (G - 1)\n"
+LEX_MESSAGE = "error: unexpected character '@' at offset 0\n"
+VALUE_JSON = '{"type": "number", "value": "G + 1"}\n'
+
+
+class TestRunnersPinned:
+    @pytest.mark.parametrize("argv, expected", [
+        (("--eval", VALUE), (0, "G + 1\n", "")),
+        (("--json", "--eval", VALUE), (0, VALUE_JSON, "")),
+        (("--eval", EVAL_ERROR), (3, "", EVAL_MESSAGE)),
+        (("--json", "--eval", EVAL_ERROR), (3, "", EVAL_MESSAGE)),
+        (("--eval", LEX_ERROR), (2, "", LEX_MESSAGE)),
+        (("--json", "--eval", LEX_ERROR), (2, "", LEX_MESSAGE)),
+    ])
+    def test_eval(self, capsys, argv, expected):
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("bad, code, message", [
+        (EVAL_ERROR, 3, EVAL_MESSAGE),
+        (LEX_ERROR, 2, LEX_MESSAGE),
+    ])
+    @pytest.mark.parametrize("json_flag, echo", [
+        ((), "G+1 => G + 1\n"),
+        (("--json",), '{"input": "G+1", "type": "number", "value": "G + 1"}\n'),
+    ])
+    def test_script_stops_at_the_first_error(self, tmp_path, capsys, bad, code, message,
+                                             json_flag, echo):
+        script = tmp_path / "s.g"
+        script.write_text(f"{VALUE}\n{bad}\nG\n")
+        expected = (code, echo, "line 2: " + message)
+        assert run(capsys, *json_flag, "--script", str(script)) == expected
+
+    def test_repl_continues_after_errors_and_toggles_json(self, monkeypatch, capsys):
+        lines = [VALUE, EVAL_ERROR, LEX_ERROR, ":json", VALUE, EVAL_ERROR, LEX_ERROR, ":json",
+                 VALUE, ":quit"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{x}\n" for x in lines)))
+        assert main([]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "g> G + 1\n" "g> g> g> "
+            "g> " + VALUE_JSON + "g> g> g> "
+            "g> G + 1\n" "g> "
+        )
+        assert captured.err == (EVAL_MESSAGE + LEX_MESSAGE) * 2

@@ -18,6 +18,7 @@ from grossone.exprlang import (
     Literal,
     TokenKind,
     Unary,
+    eval_expr,
     evaluate,
     parse,
     print_value,
@@ -25,7 +26,7 @@ from grossone.exprlang import (
     value_json,
 )
 from grossone import exprlang
-from grossone.gnum import GrossNumber, NumberClass, Parity
+from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity, gnum
 from grossone.paradoxes import ParadoxReport
 from grossone.series import RamanujanAudit
 from grossone.sets import EMPTY, AdjustedSet, EmptySet, GrossAP, RootCount
@@ -42,6 +43,21 @@ class TestTokenize:
             TokenKind.INT,
             TokenKind.PLUS,
             TokenKind.INT,
+            TokenKind.END,
+        ]
+
+    def test_punctuation(self):
+        assert [t.kind for t in tokenize("+-*/^(){},")] == [
+            TokenKind.PLUS,
+            TokenKind.MINUS,
+            TokenKind.STAR,
+            TokenKind.SLASH,
+            TokenKind.CARET,
+            TokenKind.LPAREN,
+            TokenKind.RPAREN,
+            TokenKind.LBRACE,
+            TokenKind.RBRACE,
+            TokenKind.COMMA,
             TokenKind.END,
         ]
 
@@ -77,6 +93,14 @@ class TestTokenize:
 
 
 class TestParse:
+    def test_literals(self):
+        for text in ("G", GROSSONE_GLYPH):
+            g = parse(tokenize(text))
+            assert g == Literal(GROSSONE) and g.value is GROSSONE
+        seven = parse(tokenize("7")).value
+        assert seven == 7 and type(seven) is Fraction
+        assert eval_expr(Literal(Fraction(3))) == gnum(3)
+
     def test_power_binds_tighter_than_minus(self):
         expr = parse(tokenize("2^G - 1"))
         assert isinstance(expr, Binary) and expr.op == "-"

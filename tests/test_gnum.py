@@ -32,6 +32,7 @@ from grossone.errors import (
     NotAGrossInteger,
     NotAMonomial,
     NotExactlyDivisible,
+    NotPositive,
     ZeroToZero,
 )
 
@@ -364,3 +365,15 @@ def test_grossone_gnum_is_the_submodule():
 
     assert isinstance(m, types.ModuleType)
     assert m.gnum(3) == 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: term(1, 0), "exponential base must be positive"),
+    (lambda: (G + 1).eval_at(0), "substitution point must be a positive integer"),
+    (lambda: exp_gross(-2, G), "exponential base must be nonnegative"),
+    (lambda: nth_root(G, 0), "root degree must be a positive integer"),
+], ids=["term", "eval_at", "exp_gross", "nth_root"])
+def test_a_domain_error_is_not_positive(make, message):
+    with pytest.raises(NotPositive) as err:
+        make()
+    assert str(err.value) == message

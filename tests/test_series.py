@@ -6,7 +6,7 @@ import pytest
 
 from grossone import (
     G,
-    Parity,
+    GrossNumber,
     ap_sum,
     eval_at,
     exp_gross,
@@ -104,20 +104,22 @@ class TestPowersOfTwo:
 
 class TestGrandi:
     def test_even_infinite_length(self):
-        r = grandi(G)
-        assert (r.value, r.length_parity) == (0, Parity.EVEN)
+        assert grandi(G) == gnum(0)
 
     def test_odd_infinite_length(self):
-        r = grandi(G - 1)
-        assert (r.value, r.length_parity) == (1, Parity.ODD)
+        assert grandi(G - 1) == gnum(1)
 
     def test_finite(self):
-        assert grandi(7).value == 1
+        assert grandi(7) == gnum(1)
+
+    def test_is_a_gross_number(self):
+        for k in (G, G - 1, 7):
+            assert isinstance(grandi(k), GrossNumber)
 
     def test_finite_consistency(self):
         for k in range(1, 201):
             direct = sum((-1) ** (i + 1) for i in range(1, k + 1))
-            assert grandi(k).value == direct
+            assert grandi(k) == direct
 
 
 class TestGrandiRearranged:
@@ -138,7 +140,7 @@ class TestGrandiRearranged:
 
     def test_matches_grandi(self):
         for k in (gnum(2), gnum(100), 2 * G, 4 * G, 2 * G - 2, G):
-            assert grandi_rearranged(k) == grandi(k).value
+            assert grandi_rearranged(k) == grandi(k)
 
 
 class TestRamanujanAudit:
@@ -187,5 +189,5 @@ def test_substitution_consistency():
         )
         assert eval_at(geometric(2, G), t) == sum(2**i for i in range(1, t + 1))
         assert eval_at(powers_of_two_sum(G), t) == sum(2**i for i in range(t))
-        assert grandi(G).value == sum((-1) ** (i + 1) for i in range(1, t + 1))
+        assert eval_at(grandi(G), t) == sum((-1) ** (i + 1) for i in range(1, t + 1))
         assert eval_at(infinitesimal_sum(2 * G), t) == Fraction(2 * t, t**2)

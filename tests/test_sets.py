@@ -74,6 +74,13 @@ class TestCardinality:
         b = add_finite(intersect(ap_nat(4, 5), ap_nat(3, 11)), [3, 4, 5])
         assert cardinality(b) == G / 55 + 3
 
+    def test_adjusted_empty_set(self):
+        s = add_finite(EMPTY, [1, 4])
+        assert cardinality(s) == 2
+        assert cardinality(remove_finite(s, [1])) == 1
+        assert cardinality(remove_finite(s, [1, 4])) == 0
+        assert couples_count(s, naturals()) == 2 * G
+
 
 class TestElements:
     def test_last_of_evens(self):
