@@ -55,14 +55,15 @@ def _run_line(line: str, as_json: bool, lineno: Optional[int] = None) -> int:
     """Evaluate one line and print its value or error; a script gives ``lineno``."""
     try:
         value = evaluate(line)
+        if lineno is None:
+            out = json.dumps(value_json(value)) if as_json else print_value(value)
+        elif as_json:
+            out = json.dumps({"input": line, **value_json(value)})
+        else:
+            out = f"{line} => {print_value(value)}"
     except GrossoneError as exc:
         return _error(exc, "" if lineno is None else f"line {lineno}: ")
-    if lineno is None:
-        print(json.dumps(value_json(value)) if as_json else print_value(value))
-    elif as_json:
-        print(json.dumps({"input": line, **value_json(value)}))
-    else:
-        print(f"{line} => {print_value(value)}")
+    print(out)
     return EXIT_OK
 
 
@@ -70,7 +71,7 @@ def run_script(path: str, as_json: bool) -> int:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     for lineno, raw in enumerate(lines, start=1):

@@ -56,6 +56,11 @@ class BaseRootUnsupported(GrossoneError):
     """Roots of exponential factors B^G with B != 1 are not representable."""
 
 
+class TooManyDigits(GrossoneError):
+    """A number has an integer with more decimal digits than Python converts
+    to a string (``sys.get_int_max_str_digits()``), so it cannot be printed."""
+
+
 # --- sets -----------------------------------------------------------------
 
 class ResidueOutOfRange(GrossoneError):

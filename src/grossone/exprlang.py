@@ -20,6 +20,7 @@ exponential term.  There are no variables; every line is standalone.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -223,8 +224,13 @@ class Parser:
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind is TokenKind.INT:
+            try:
+                value = int(tok.lexeme)
+            except ValueError:  # past the interpreter's digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
             self.advance()
-            return Literal(Fraction(int(tok.lexeme)))
+            return Literal(Fraction(value))
         if tok.kind is TokenKind.G:
             self.advance()
             return Literal(GROSSONE)

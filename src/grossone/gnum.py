@@ -14,10 +14,11 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
     BaseRootUnsupported,
@@ -30,6 +31,7 @@ from .errors import (
     NotAMonomial,
     NotExactlyDivisible,
     NotPositive,
+    TooManyDigits,
     ZeroToZero,
 )
 
@@ -53,8 +55,7 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class GrossTerm:
+class GrossTerm(NamedTuple):
     """One canonical summand ``coeff * base**G * G**gpow``."""
 
     coeff: Fraction
@@ -109,12 +110,9 @@ class GrossNumber:
 
     @_operator
     def __mul__(self, other):
-        raw = [
-            GrossTerm(a.coeff * b.coeff, a.base * b.base, a.gpow + b.gpow)
-            for a in self.terms
-            for b in other.terms
-        ]
-        return normalize(raw)
+        return normalize(
+            (ca * cb, ba * bb, pa + pb) for ca, ba, pa in self.terms for cb, bb, pb in other.terms
+        )
 
     __rmul__ = __mul__
 
@@ -140,6 +138,9 @@ class GrossNumber:
     __ge__ = _operator(lambda a, b: compare(a, b) >= 0)
 
     def __hash__(self):
+        # Equal values hash alike, and a finite pure number equals its rational.
+        if self.classify() in (NumberClass.ZERO, NumberClass.FINITE_PURE):
+            return hash(self.as_rational())
         return hash(self.terms)
 
     def __bool__(self) -> bool:
@@ -241,18 +242,17 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     return GrossNumber((GrossTerm(c, _ONE, _ZERO),) if c else ())
 
 
-def normalize(raw: Iterable[GrossTerm]) -> GrossNumber:
-    """Merge equal keys, drop zero coefficients, sort descending; idempotent."""
+def normalize(raw: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> GrossNumber:
+    """Merge equal keys, drop zero coefficients, sort descending; idempotent.
+
+    ``raw`` yields ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`.
+    """
     merged: dict = {}
-    for t in raw:
-        k = t.key
-        merged[k] = merged.get(k, _ZERO) + t.coeff
-    terms = tuple(
-        GrossTerm(merged[k], k[0], k[1])
-        for k in sorted(merged, reverse=True)
-        if merged[k] != 0
-    )
-    return GrossNumber(terms)
+    for c, b, p in raw:
+        merged[b, p] = merged.get((b, p), _ZERO) + c
+    return GrossNumber(tuple(
+        GrossTerm(c, b, p) for (b, p), c in sorted(merged.items(), reverse=True) if c
+    ))
 
 
 def compare(a: GrossNumber, b) -> int:
@@ -363,11 +363,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
         raise NotPositive("exponential base must be nonnegative")
-    coeff = base ** d
-    expbase = base ** a
-    if expbase == 1:
-        return gnum(coeff)
-    return GrossNumber((GrossTerm(coeff, expbase, _ZERO),))
+    return GrossNumber((GrossTerm(base ** d, base ** a, _ZERO),))
 
 
 def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
@@ -449,8 +445,12 @@ def format_number(a: GrossNumber) -> str:
     if not a.terms:
         return "0"
     first = a.terms[0]
-    out = ("-" if first.coeff < 0 else "") + _term_str(first)
-    for t in a.terms[1:]:
-        out += " - " if t.coeff < 0 else " + "
-        out += _term_str(t)
+    try:
+        out = ("-" if first.coeff < 0 else "") + _term_str(first)
+        for t in a.terms[1:]:
+            out += " - " if t.coeff < 0 else " + "
+            out += _term_str(t)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise TooManyDigits(f"cannot print a number with more than {limit} digits") from None
     return out

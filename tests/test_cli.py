@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -106,6 +107,13 @@ class TestScript:
         assert code == 4
         assert err
 
+    def test_a_file_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
+        script = tmp_path / "bad.g"
+        script.write_bytes(b"G+1\n\xff\xfe\n")
+        code, out, err = run(capsys, "--script", str(script))
+        assert (code, out) == (4, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+
     def test_error_reports_line_number(self, tmp_path, capsys):
         script = tmp_path / "bad.g"
         script.write_text("1+1\n2*2\ntri(G,\n3*3\n")
@@ -124,6 +132,38 @@ class TestScript:
             {"input": "G+1", "type": "number", "value": "G + 1"},
             {"input": "card(nat())", "type": "number", "value": "G"},
         ]
+
+
+class TestDigitLimit:
+    """Integers past the interpreter's int-to-string digit limit end in a
+    one-line error with a documented exit code."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_a_literal_with_too_many_digits_is_a_parse_error(self, capsys, flags):
+        code, out, err = run(capsys, *flags, "--eval", "1 + " + "9" * (self.LIMIT + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: expected an integer of at most {self.LIMIT} digits at offset 4\n"
+
+    def test_a_literal_at_the_limit_is_a_number(self, capsys):
+        assert run(capsys, "--eval", "9" * self.LIMIT + " > G^-1") == (0, "true\n", "")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_printing_a_number_with_too_many_digits_is_an_eval_error(self, capsys, flags):
+        code, out, err = run(capsys, *flags, "--eval", f"2^{4 * self.LIMIT}")
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot print a number with more than {self.LIMIT} digits\n"
+
+    def test_a_script_prints_nothing_for_the_failing_line(self, tmp_path, capsys):
+        script = tmp_path / "big.g"
+        script.write_text(f"G+1\n2^{4 * self.LIMIT} + G\n")
+        code, out, err = run(capsys, "--script", str(script))
+        assert (code, out) == (3, "G+1 => G + 1\n")
+        assert err.startswith("line 2: error: cannot print a number")
+
+    def test_comparing_such_a_number_still_works(self, capsys):
+        assert run(capsys, "--eval", f"2^{4 * self.LIMIT} < 3") == (0, "false\n", "")
 
 
 class TestParadox:

@@ -1,6 +1,7 @@
 """Lexer, parser, evaluator and printer for the expression language."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,13 @@ class TestParse:
         seven = parse(tokenize("7")).value
         assert seven == 7 and type(seven) is Fraction
         assert eval_expr(Literal(Fraction(3))) == gnum(3)
+
+    def test_a_literal_past_the_digit_limit_is_a_parse_error(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse(tokenize("9" * limit)).value == 10**limit - 1
+        with pytest.raises(ParseError) as err:
+            parse(tokenize("(" + "9" * (limit + 1) + ")"))
+        assert (err.value.offset, err.value.expected) == (1, f"an integer of at most {limit} digits")
 
     def test_power_binds_tighter_than_minus(self):
         expr = parse(tokenize("2^G - 1"))

@@ -1,6 +1,7 @@
 """Unit tests for the core arithmetic."""
 
 import operator
+import sys
 import types
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ import pytest
 
 from grossone import (
     G,
+    GrossTerm,
     NumberClass,
     Parity,
     compare,
     eval_at,
     exp_gross,
     floor_div_mod,
+    format_number,
     geometric,
     normalize,
     nth_root,
@@ -21,7 +24,7 @@ from grossone import (
     pow_int,
     term,
 )
-from grossone.gnum import gnum
+from grossone.gnum import ZERO, gnum
 from grossone.errors import (
     BaseRootUnsupported,
     CoefficientNotPerfectPower,
@@ -33,8 +36,22 @@ from grossone.errors import (
     NotAMonomial,
     NotExactlyDivisible,
     NotPositive,
+    TooManyDigits,
     ZeroToZero,
 )
+
+
+class TestTermRecord:
+    def test_a_term_is_a_tuple_with_named_fields(self):
+        t = term(3, 2, -1)
+        assert isinstance(t, tuple) and t == (3, 2, -1)
+        assert GrossTerm._fields == ("coeff", "base", "gpow")
+        assert (t.coeff, t.base, t.gpow, t.key) == (3, 2, -1, (2, -1))
+
+    @pytest.mark.parametrize("field", ["coeff", "base", "gpow"])
+    def test_a_term_is_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(term(3, 2, -1), field, Fraction(5))
 
 
 class TestNormalize:
@@ -54,6 +71,10 @@ class TestNormalize:
     def test_idempotent(self):
         n = normalize([term(3, 2, 1), term(-1, 1, -2), term(5)])
         assert normalize(n.terms) == n
+
+    def test_takes_plain_triples(self):
+        raw = ((Fraction(2), Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1), Fraction(0)))
+        assert normalize(iter(raw)) == 2 * G - 1
 
 
 class TestIdentitySuite:
@@ -150,6 +171,10 @@ class TestExpGross:
     def test_negative_linear_part(self):
         assert exp_gross(2, -G) == exp_gross(Fraction(1, 2), G)
         assert exp_gross(2, G - 1) == exp_gross(2, G) / 2
+
+    def test_base_one_or_no_g_part_is_finite(self):
+        assert exp_gross(1, 3 * G + 2).terms == gnum(1).terms
+        assert exp_gross(Fraction(2, 3), gnum(-2)).terms == gnum(Fraction(9, 4)).terms
 
     def test_rejects_nonlinear_exponents(self):
         for e in (G**2, G / 2, exp_gross(2, G)):
@@ -377,3 +402,35 @@ def test_a_domain_error_is_not_positive(make, message):
     with pytest.raises(NotPositive) as err:
         make()
     assert str(err.value) == message
+
+
+class TestHash:
+    """Equal values hash alike, so a finite pure number and its rational
+    find each other in sets and dicts."""
+
+    @pytest.mark.parametrize("r", [0, 3, -7, Fraction(1, 2), Fraction(-22, 7)])
+    def test_a_finite_number_is_found_as_its_rational(self, r):
+        x = gnum(r)
+        assert hash(x) == hash(r)
+        assert x in {r} and r in {x}
+        assert {r: "r"}[x] == "r" and {x: "x"}[r] == "x"
+
+    def test_zero_hashes_as_zero(self):
+        assert hash(ZERO) == hash(gnum(0)) == 0
+
+    def test_other_numbers_hash_by_their_terms(self):
+        for x in (G, G + 1, 1 + G**-1, G**-1, exp_gross(2, G)):
+            assert hash(x) == hash(x.terms)
+            assert x in {x, 0, 1}
+        assert len({G + 1, 1 + G, gnum(1), 1, Fraction(1)}) == 2
+
+
+class TestDigitLimit:
+    """Printing a number whose integers exceed the interpreter's
+    int-to-string digit limit is a TooManyDigits error, not a ValueError."""
+
+    def test_format_number_raises_too_many_digits(self):
+        huge = gnum(2) ** (4 * sys.get_int_max_str_digits())
+        for x in (huge, G - huge, G / huge):
+            with pytest.raises(TooManyDigits, match="cannot print a number with more than"):
+                format_number(x)

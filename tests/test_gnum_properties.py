@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from grossone import GrossNumber, eval_at, floor_div_mod, normalize, term
-from grossone.gnum import gnum
+from grossone.gnum import ZERO, gnum
 
 from conftest import BASE_POOL, random_number, sign_stabilizes
 
@@ -101,3 +101,18 @@ def test_floor_div_mod_exact(a, n):
     q, r = floor_div_mod(x, n)
     assert q * n + r == x
     assert 0 <= r < n
+
+
+@given(numbers, numbers, st.randoms(use_true_random=False))
+def test_normalize_of_shuffled_terms_is_the_sum(a, b, rng):
+    raw = list(a.terms + b.terms)
+    rng.shuffle(raw)
+    assert normalize(raw) == a + b
+    assert normalize(a.terms + (-a).terms) == ZERO
+
+
+@given(coeffs | st.just(0))
+def test_a_finite_number_hashes_as_its_rational(r):
+    x = gnum(r)
+    assert hash(x) == hash(r)
+    assert x in {r} and {r: r}[x] == r
