@@ -61,6 +61,11 @@ class TooManyDigits(GrossoneError):
     to a string (``sys.get_int_max_str_digits()``), so it cannot be printed."""
 
 
+class TooLarge(GrossoneError):
+    """A power of a rational would need more bits than ``gnum.MAX_POWER_BITS``
+    (2**20), so it is refused before it is built."""
+
+
 # --- sets -----------------------------------------------------------------
 
 class ResidueOutOfRange(GrossoneError):

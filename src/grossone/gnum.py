@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
     NotAMonomial,
     NotExactlyDivisible,
     NotPositive,
+    TooLarge,
     TooManyDigits,
     ZeroToZero,
 )
@@ -40,6 +42,11 @@ RationalLike = Union[int, Fraction]
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 _FINITE_KEY = (_ONE, _ZERO)
+
+#: The most bits ``pow_int`` (of a single term) and ``exp_gross`` let one
+#: power of a rational need; a larger power is refused with :class:`TooLarge`
+#: before it is built.
+MAX_POWER_BITS = 1 << 20
 
 
 class NumberClass(Enum):
@@ -247,17 +254,46 @@ def normalize(raw: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> GrossNumber
 
     ``raw`` yields ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`.
     """
+    # Keyed on the four ints of base and G-power, which hash far faster than
+    # two Fractions; each entry is the running [coeff, base, gpow].
     merged: dict = {}
     for c, b, p in raw:
-        merged[b, p] = merged.get((b, p), _ZERO) + c
-    return GrossNumber(tuple(
-        GrossTerm(c, b, p) for (b, p), c in sorted(merged.items(), reverse=True) if c
-    ))
+        k = (b.numerator, b.denominator, p.numerator, p.denominator)
+        entry = merged.get(k)
+        if entry is None:
+            merged[k] = [c, b, p]
+        else:
+            entry[0] += c
+    entries = merged.values()
+    if len(merged) > 1:
+        # Over the common denominators, the scaled numerators order the keys
+        # as the Fractions do, and compare as plain ints.
+        lb = lcm(*(k[1] for k in merged))
+        lp = lcm(*(k[3] for k in merged))
+        entries = [merged[k] for k in sorted(
+            merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
+    return GrossNumber(tuple(GrossTerm(c, b, p) for c, b, p in entries if c))
 
 
 def compare(a: GrossNumber, b) -> int:
-    """-1, 0 or +1 as ``a`` is less than, equal to, or greater than ``b``."""
-    return (a - gnum(b)).sign()
+    """-1, 0 or +1 as ``a`` is less than, equal to, or greater than ``b``.
+
+    Reads both canonical term tuples from the top down, as the sign of
+    ``a - b`` is decided by the first term where they differ.
+    """
+    x, y = a.terms, gnum(b).terms
+    for s, t in zip(x, y):
+        if s != t:
+            if s.key == t.key:
+                return 1 if s.coeff > t.coeff else -1
+            if s.key > t.key:
+                return 1 if s.coeff > 0 else -1
+            return -1 if t.coeff > 0 else 1
+    if len(x) > len(y):
+        return 1 if x[len(y)].coeff > 0 else -1
+    if len(y) > len(x):
+        return -1 if y[len(x)].coeff > 0 else 1
+    return 0
 
 
 parity = GrossNumber.parity
@@ -310,6 +346,14 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     return normalize(quotient)
 
 
+def _power(x: Fraction, k: int) -> Fraction:
+    """``x ** k``, refused when a lower bound on its size (0 for x = ±1)
+    passes ``MAX_POWER_BITS``."""
+    if (max(abs(x.numerator), x.denominator).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
+        raise TooLarge(f"a power would need more than {MAX_POWER_BITS} bits")
+    return x ** k
+
+
 def pow_int(a: GrossNumber, k: int) -> GrossNumber:
     """Exact integer power; ``a**0 == 1`` for nonzero ``a``."""
     if k == 0:
@@ -322,7 +366,7 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         return ZERO
     if len(a.terms) == 1:
         t = a.terms[0]
-        return GrossNumber((GrossTerm(t.coeff ** k, t.base ** k, t.gpow * k),))
+        return GrossNumber((GrossTerm(_power(t.coeff, k), _power(t.base, k), t.gpow * k),))
     if k < 0:
         raise NegativePowerOfSum(f"({a})^{k}: negative powers need a single term")
     result = ONE
@@ -363,7 +407,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
         raise NotPositive("exponential base must be nonnegative")
-    return GrossNumber((GrossTerm(base ** d, base ** a, _ZERO),))
+    return GrossNumber((GrossTerm(_power(base, d), _power(base, a), _ZERO),))
 
 
 def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:

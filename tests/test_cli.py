@@ -166,6 +166,33 @@ class TestDigitLimit:
         assert run(capsys, "--eval", f"2^{4 * self.LIMIT} < 3") == (0, "false\n", "")
 
 
+class TestPowerSizeLimit:
+    """A power of a rational whose size passes gnum.MAX_POWER_BITS (2**20)
+    is refused before it is built: exit 3 and one line on stderr."""
+
+    ERR = "error: a power would need more than 1048576 bits\n"
+
+    @pytest.mark.parametrize("line", [
+        "2^(10^9)",
+        "10^10^10",
+        "(1/2)^(2^20 + 1)",
+        "(3*G)^(-10^7)",
+        "lamp(on, 2^20000)",
+        "geo(1/2, 2^20000)",
+        "2^(G + 2^20000)",
+        "(2/3)^(2^20000*G)",
+    ])
+    def test_a_power_past_the_limit_is_an_eval_error(self, capsys, line):
+        assert run(capsys, "--eval", line) == (3, "", self.ERR)
+
+    def test_thomson_with_a_huge_switch_count(self, capsys):
+        assert run(capsys, "paradox", "thomson", "--switches", "2^20000") == (3, "", self.ERR)
+
+    def test_powers_of_one_and_of_g_have_no_limit(self, capsys):
+        assert run(capsys, "--eval", "1^(10^9) + (-1)^(10^9+1) + G^(10^9)") == (0, "G^1000000000\n", "")
+        assert run(capsys, "--eval", "1^(10^9*G)") == (0, "1\n", "")
+
+
 class TestParadox:
     def test_hilbert_default(self, capsys):
         code, out, _ = run(capsys, "paradox", "hilbert")

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from grossone import GrossNumber, eval_at, floor_div_mod, normalize, term
-from grossone.gnum import ZERO, gnum
+from grossone.gnum import ZERO, compare, gnum
 
 from conftest import BASE_POOL, random_number, sign_stabilizes
 
@@ -27,6 +27,16 @@ terms = st.builds(
 )
 
 numbers = st.lists(terms, max_size=5).map(normalize)
+
+# G-powers with denominators 1-4, so that keys mix denominators.
+frac_terms = st.builds(
+    term,
+    coeffs,
+    st.sampled_from(BASE_POOL),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+)
+
+frac_numbers = st.lists(frac_terms, max_size=5).map(normalize)
 
 
 @given(numbers, numbers, numbers)
@@ -72,13 +82,54 @@ def test_order_matches_evaluation(seed):
     assert sign_stabilizes(a - b)
 
 
-@given(st.lists(terms, max_size=8))
+@given(st.lists(frac_terms, max_size=8))
 def test_normalize_idempotent(raw):
     n = normalize(raw)
     assert normalize(n.terms) == n
     keys = [t.key for t in n.terms]
     assert keys == sorted(keys, reverse=True)
     assert all(t.coeff != 0 for t in n.terms)
+    sums = {}
+    for t in raw:
+        sums[t.key] = sums.get(t.key, 0) + t.coeff
+    assert {t.key: t.coeff for t in n.terms} == {k: c for k, c in sums.items() if c}
+
+
+def _copy(x: GrossNumber) -> GrossNumber:
+    """An equal number built from fresh Fraction objects."""
+    return GrossNumber(tuple(
+        term(Fraction(c.numerator, c.denominator), Fraction(b.numerator, b.denominator),
+             Fraction(p.numerator, p.denominator))
+        for c, b, p in x.terms))
+
+
+@st.composite
+def ordered_pairs(draw):
+    """Two numbers that are unrelated, equal, one a prefix of the other, one
+    with an extra term, apart in one coefficient, or a number and a rational;
+    either may be zero."""
+    a = draw(frac_numbers)
+    how = draw(st.sampled_from(["other", "equal", "prefix", "extra", "coeff", "rational"]))
+    if how == "other":
+        b = draw(frac_numbers)
+    elif how == "equal":
+        b = _copy(a)
+    elif how == "prefix":
+        b = GrossNumber(a.terms[:draw(st.integers(0, len(a.terms)))])
+    elif how == "extra":
+        b = normalize(a.terms + (draw(frac_terms),))
+    elif how == "coeff" and a.terms:
+        t = draw(st.sampled_from(a.terms))
+        b = normalize(a.terms + (term(draw(coeffs), t.base, t.gpow),))
+    else:
+        b = draw(st.one_of(st.integers(-3, 3), coeffs))
+    return (b, a) if draw(st.booleans()) and isinstance(b, GrossNumber) else (a, b)
+
+
+@given(ordered_pairs())
+def test_compare_matches_sign_of_difference(pair):
+    a, b = pair
+    assert compare(a, b) == (a - b).sign()
 
 
 @given(numbers)
