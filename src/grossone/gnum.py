@@ -5,8 +5,10 @@ infinite unit (the number of elements of the set of natural numbers), ``c`` is
 a nonzero rational, ``B`` a positive rational exponential base (``B == 1``
 means the exponential factor is absent) and ``p`` a rational power.  Terms are
 kept in canonical form: unique ``(base, gpow)`` keys, strictly descending, no
-zero coefficients.  A larger base always dominates (exponential growth beats
-any power of G); for equal bases the larger power of G dominates.
+zero coefficients, and each of ``c``, ``B`` and ``p`` an ``int`` when it is
+integral and a ``Fraction`` only otherwise (never a float or a bool).  A larger
+base always dominates (exponential growth beats any power of G); for equal
+bases the larger power of G dominates.
 
 Everything here is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -39,8 +41,8 @@ from .errors import (
 
 RationalLike = Union[int, Fraction]
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
+_ONE = 1
+_ZERO = 0
 _FINITE_KEY = (_ONE, _ZERO)
 
 #: The most bits ``pow_int`` (of a single term) and ``exp_gross`` let one
@@ -65,20 +67,35 @@ class Parity(Enum):
 class GrossTerm(NamedTuple):
     """One canonical summand ``coeff * base**G * G**gpow``."""
 
-    coeff: Fraction
-    base: Fraction
-    gpow: Fraction
+    coeff: RationalLike
+    base: RationalLike
+    gpow: RationalLike
 
     @property
-    def key(self) -> Tuple[Fraction, Fraction]:
+    def key(self) -> Tuple[RationalLike, RationalLike]:
         return (self.base, self.gpow)
 
 
-def _rational(x: RationalLike) -> Fraction:
-    """An ``int`` or a ``Fraction`` as a ``Fraction``; no floats, no strings."""
+def _q(x: RationalLike) -> RationalLike:
+    """The canonical form of an exact rational: an ``int`` when it is integral."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(x: RationalLike, y: RationalLike) -> RationalLike:
+    """The exact quotient ``x / y`` in canonical form; never a float."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return _q(x / y)
+
+
+def _rational(x: RationalLike) -> RationalLike:
+    """An ``int`` or a ``Fraction`` in canonical form; no floats, no strings."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
-    return Fraction(x)
+    return _q(x)
 
 
 def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) -> GrossTerm:
@@ -193,7 +210,7 @@ class GrossNumber:
                 return False
         return True
 
-    def constant_coeff(self) -> Fraction:
+    def constant_coeff(self) -> RationalLike:
         for t in self.terms:
             if t.key == _FINITE_KEY:
                 return t.coeff
@@ -207,8 +224,9 @@ class GrossNumber:
         c = int(self.constant_coeff())
         return Parity.EVEN if c % 2 == 0 else Parity.ODD
 
-    def as_rational(self) -> Fraction:
-        """The exact rational value of a finite pure number."""
+    def as_rational(self) -> RationalLike:
+        """The exact rational value of a finite pure number, an ``int`` when
+        it is integral."""
         if not self.terms:
             return _ZERO
         if len(self.terms) == 1 and self.terms[0].key == _FINITE_KEY:
@@ -219,7 +237,7 @@ class GrossNumber:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
         if t <= 0:
             raise NotPositive("substitution point must be a positive integer")
-        total = _ZERO
+        total = Fraction(0)
         for trm in self.terms:
             if trm.gpow.denominator != 1:
                 raise FractionalGrossPower(f"G^({trm.gpow}) cannot be evaluated")
@@ -249,19 +267,21 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     return GrossNumber((GrossTerm(c, _ONE, _ZERO),) if c else ())
 
 
-def normalize(raw: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> GrossNumber:
+def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) -> GrossNumber:
     """Merge equal keys, drop zero coefficients, sort descending; idempotent.
 
-    ``raw`` yields ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`.
+    ``raw`` yields ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`,
+    of ``int``s and ``Fraction``s; the result holds them in canonical form.
     """
     # Keyed on the four ints of base and G-power, which hash far faster than
-    # two Fractions; each entry is the running [coeff, base, gpow].
+    # two Fractions; each entry is the running [coeff, base, gpow], with an
+    # integral base or G-power taken from the key as an int.
     merged: dict = {}
     for c, b, p in raw:
         k = (b.numerator, b.denominator, p.numerator, p.denominator)
         entry = merged.get(k)
         if entry is None:
-            merged[k] = [c, b, p]
+            merged[k] = [c, k[0] if k[1] == 1 else b, k[2] if k[3] == 1 else p]
         else:
             entry[0] += c
     entries = merged.values()
@@ -272,7 +292,8 @@ def normalize(raw: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> GrossNumber
         lp = lcm(*(k[3] for k in merged))
         entries = [merged[k] for k in sorted(
             merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
-    return GrossNumber(tuple(GrossTerm(c, b, p) for c, b, p in entries if c))
+    return GrossNumber(tuple(
+        GrossTerm(c if type(c) is int else _q(c), b, p) for c, b, p in entries if c))
 
 
 def compare(a: GrossNumber, b) -> int:
@@ -303,7 +324,7 @@ eval_at = GrossNumber.eval_at
 # -- division -----------------------------------------------------------------
 
 def _divide_term(a: GrossTerm, b: GrossTerm) -> GrossTerm:
-    return GrossTerm(a.coeff / b.coeff, a.base / b.base, a.gpow - b.gpow)
+    return GrossTerm(_div(a.coeff, b.coeff), _div(a.base, b.base), _q(a.gpow - b.gpow))
 
 
 def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
@@ -329,8 +350,8 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     pows_a = [t.gpow for t in a.terms]
     pows_b = [t.gpow for t in b.terms]
     # Terms are sorted by base first, so the extreme bases are the end terms.
-    base_lo = a.terms[-1].base / b.terms[-1].base
-    base_hi = a.terms[0].base / b.terms[0].base
+    base_lo = _div(a.terms[-1].base, b.terms[-1].base)
+    base_hi = _div(a.terms[0].base, b.terms[0].base)
     pow_lo = min(pows_a) - min(pows_b)
     pow_hi = max(pows_a) - max(pows_b)
 
@@ -346,12 +367,13 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     return normalize(quotient)
 
 
-def _power(x: Fraction, k: int) -> Fraction:
-    """``x ** k``, refused when a lower bound on its size (0 for x = ±1)
-    passes ``MAX_POWER_BITS``."""
+def _power(x: RationalLike, k: int) -> RationalLike:
+    """``x ** k`` in canonical form, refused when a lower bound on its size
+    (0 for x = ±1) passes ``MAX_POWER_BITS``."""
     if (max(abs(x.numerator), x.denominator).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
         raise TooLarge(f"a power would need more than {MAX_POWER_BITS} bits")
-    return x ** k
+    # A negative power of an int would be a float.
+    return _q((x if k >= 0 else Fraction(x)) ** k)
 
 
 def pow_int(a: GrossNumber, k: int) -> GrossNumber:
@@ -366,7 +388,7 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         return ZERO
     if len(a.terms) == 1:
         t = a.terms[0]
-        return GrossNumber((GrossTerm(_power(t.coeff, k), _power(t.base, k), t.gpow * k),))
+        return GrossNumber((GrossTerm(_power(t.coeff, k), _power(t.base, k), _q(t.gpow * k)),))
     if k < 0:
         raise NegativePowerOfSum(f"({a})^{k}: negative powers need a single term")
     result = ONE
@@ -456,12 +478,12 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
         raise CoefficientNotPerfectPower(f"{t.coeff} is not a perfect {n}-th power")
-    return GrossNumber((GrossTerm(Fraction(num, den), _ONE, t.gpow / n),))
+    return GrossNumber((GrossTerm(_div(num, den), _ONE, _div(t.gpow, n)),))
 
 
 # -- canonical rendering -------------------------------------------------------
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: RationalLike) -> str:
     # A coefficient, exponential base or G-power; fractions are parenthesized
     # so the string reparses with the same precedence.
     if c.denominator == 1:

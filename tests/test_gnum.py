@@ -54,6 +54,37 @@ class TestTermRecord:
             setattr(term(3, 2, -1), field, Fraction(5))
 
 
+class TestCanonicalFields:
+    """A term field is an int when integral and a Fraction otherwise, and
+    eval_at returns a Fraction: the cases where plain int arithmetic would
+    give a float, or a Fraction result would be left integral."""
+
+    def test_int_over_int_is_a_fraction(self):
+        c = (gnum(3) / 2).terms[0].coeff
+        assert type(c) is Fraction and c == Fraction(3, 2)
+
+    def test_negative_power_of_an_int(self):
+        c = pow_int(gnum(2), -3).terms[0].coeff
+        assert type(c) is Fraction and c == Fraction(1, 8)
+
+    def test_exp_gross_with_a_negative_g_part(self):
+        b = exp_gross(2, -G).terms[0].base
+        assert type(b) is Fraction and b == Fraction(1, 2)
+
+    def test_root_of_an_integer_g_power(self):
+        t = nth_root(4 * G, 2).terms[0]
+        assert type(t.gpow) is Fraction and t.gpow == Fraction(1, 2)
+        assert type(t.coeff) is int and t.coeff == 2
+
+    def test_eval_at_returns_a_fraction(self):
+        v = (G**2).eval_at(3)
+        assert type(v) is Fraction and v == 9
+
+    def test_g_powers_that_cancel_give_the_int_zero(self):
+        p = (G**-1 * G).terms[0].gpow
+        assert type(p) is int and p == 0
+
+
 class TestNormalize:
     def test_merges_like_terms(self):
         assert normalize([term(1, 1, 1), term(2, 1, 1)]) == 3 * G

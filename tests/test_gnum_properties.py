@@ -5,8 +5,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from grossone import GrossNumber, eval_at, floor_div_mod, normalize, term
-from grossone.gnum import ZERO, compare, gnum
+from grossone import (
+    GrossNumber, div_exact, eval_at, exp_gross, floor_div_mod, normalize, nth_root, pow_int, term,
+)
+from grossone.errors import NotExactlyDivisible
+from grossone.gnum import GROSSONE, ZERO, compare, gnum
 
 from conftest import BASE_POOL, random_number, sign_stabilizes
 
@@ -167,3 +170,46 @@ def test_a_finite_number_hashes_as_its_rational(r):
     x = gnum(r)
     assert hash(x) == hash(r)
     assert x in {r} and {r: r}[x] == r
+
+
+def _canonical(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@settings(max_examples=60)
+@given(st.integers())
+def test_term_fields_are_ints_or_proper_fractions(seed):
+    """Every field of every result term is an int, or a Fraction whose
+    denominator is not 1: never a float, a bool or an integral Fraction."""
+    rng = random.Random(seed)
+
+    def draw(**kw):
+        return random_number(rng, coeff_bound=100, coeff_den_bound=rng.choice([1, 4]),
+                             fractional_gpow=rng.random() < 0.3, **kw)
+
+    a, b, m = draw(), draw(), draw(max_terms=1)
+    k = rng.randint(1, 3)
+    results = [
+        GrossNumber((term(Fraction(4, 2), Fraction(6, 3), Fraction(-3, 1)),)),
+        GrossNumber((term(True, True, False),)),
+        gnum(Fraction(10, 5)), gnum(True), gnum(Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+        a + b, a - b, -a, a * b, a * m, m * m,
+        pow_int(a, k), pow_int(b, rng.randint(0, 2)) if b else b,
+        exp_gross(rng.choice(BASE_POOL + [0, 7]), rng.randint(1, 3) * GROSSONE + rng.randint(-3, 3)),
+        exp_gross(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-3, 3) * GROSSONE),
+    ]
+    if b:
+        results.append(div_exact(a * b, b))
+        try:
+            results.append(div_exact(a, b))
+        except NotExactlyDivisible:
+            pass
+    if m:
+        t = m.terms[0]
+        results += [div_exact(a, m), pow_int(m, -k), pow_int(m, k)]
+        root = GrossNumber((term(abs(t.coeff), 1, t.gpow),))
+        results += [nth_root(pow_int(root, n), n) for n in (1, 2, 3)]
+        results.append(nth_root(GrossNumber((term(t.coeff ** 2, 1, t.gpow),)), 2))
+    for n in results:
+        for t in n.terms:
+            assert all(_canonical(x) for x in t), t
