@@ -118,6 +118,55 @@ def _operator(fn):
     return method
 
 
+def _add(a: "GrossNumber", b: "GrossNumber") -> "GrossNumber":
+    """``a + b`` by one merge of the two canonical term tuples.
+
+    Both tuples descend by ``(base, gpow)``, so the sum is column addition:
+    an unmatched term is kept as it is, and the coefficients of equal keys
+    are added, with the term dropped when they cancel.
+    """
+    x, y = a.terms, b.terms
+    if not y:
+        return a
+    if not x:
+        return b
+    out = []
+    n, m = len(x), len(y)
+    i = j = 0
+    s, t = x[0], y[0]
+    while True:
+        # Fields by index: (coeff, base, gpow).
+        if s[1] == t[1]:
+            if s[2] == t[2]:
+                c = s[0] + t[0]
+                if c:
+                    out.append(GrossTerm(c if type(c) is int else _q(c), s[1], s[2]))
+                i += 1
+                j += 1
+                if i == n or j == m:
+                    break
+                s, t = x[i], y[j]
+                continue
+            first = s[2] > t[2]
+        else:
+            first = s[1] > t[1]
+        if first:
+            out.append(s)
+            i += 1
+            if i == n:
+                break
+            s = x[i]
+        else:
+            out.append(t)
+            j += 1
+            if j == m:
+                break
+            t = y[j]
+    out += x[i:]
+    out += y[j:]
+    return GrossNumber(tuple(out))
+
+
 @dataclass(frozen=True, eq=False)
 class GrossNumber:
     """Canonical finite sum of :class:`GrossTerm`; the empty sum is zero."""
@@ -126,7 +175,7 @@ class GrossNumber:
 
     # -- ring structure -------------------------------------------------
 
-    __add__ = __radd__ = _operator(lambda a, b: normalize(a.terms + b.terms))
+    __add__ = __radd__ = _operator(_add)
     __sub__ = _operator(lambda a, b: a + (-b))
     __rsub__ = _operator(lambda a, b: (-a) + b)
     __truediv__ = _operator(lambda a, b: div_exact(a, b))
@@ -237,12 +286,14 @@ class GrossNumber:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
         if t <= 0:
             raise NotPositive("substitution point must be a positive integer")
-        total = Fraction(0)
-        for trm in self.terms:
-            if trm.gpow.denominator != 1:
-                raise FractionalGrossPower(f"G^({trm.gpow}) cannot be evaluated")
-            total += trm.coeff * trm.base ** t * Fraction(t) ** int(trm.gpow)
-        return total
+        total = _ZERO
+        for c, b, p in self.terms:
+            if type(p) is not int:
+                raise FractionalGrossPower(f"G^({p}) cannot be evaluated")
+            v = c * b ** t
+            # A negative power of an int would be a float.
+            total += v * t ** p if p >= 0 else Fraction(v) / t ** -p
+        return Fraction(total)
 
     # -- rendering --------------------------------------------------------
 
@@ -270,8 +321,10 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
 def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) -> GrossNumber:
     """Merge equal keys, drop zero coefficients, sort descending; idempotent.
 
-    ``raw`` yields ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`,
-    of ``int``s and ``Fraction``s; the result holds them in canonical form.
+    The builder for terms in any order, such as the pairwise products of
+    ``*``; ``+`` merges two canonical tuples without it.  ``raw`` yields
+    ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`, of ``int``s
+    and ``Fraction``s; the result holds them in canonical form.
     """
     # Keyed on the four ints of base and G-power, which hash far faster than
     # two Fractions; each entry is the running [coeff, base, gpow], with an
@@ -364,7 +417,9 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
             raise NotExactlyDivisible(f"({a}) is not exactly divisible by ({b})")
         quotient.append(t)
         rest = rest - GrossNumber((t,)) * b
-    return normalize(quotient)
+    # The lead key of ``rest`` falls at every step, so the quotient terms
+    # are already distinct, descending and nonzero.
+    return GrossNumber(tuple(quotient))
 
 
 def _power(x: RationalLike, k: int) -> RationalLike:
@@ -447,9 +502,11 @@ def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
 
 
 def _iroot_exact(k: int, n: int):
-    """Exact integer n-th root of ``k >= 0``, or None."""
+    """Exact integer n-th root of ``k``, or None; a negative ``k`` has one
+    only for odd ``n``."""
     if k < 0:
-        return None
+        r = _iroot_exact(-k, n) if n % 2 else None
+        return None if r is None else -r
     if k in (0, 1) or n == 1:
         return k
     x = 1 << ((k.bit_length() + n - 1) // n)
@@ -459,6 +516,12 @@ def _iroot_exact(k: int, n: int):
             break
         x = y
     return x if x ** n == k else None
+
+
+def _ordinal(n: int) -> str:
+    """``n`` as an English ordinal: 2nd, 3rd, 11th, 21st."""
+    suffix = "th" if 11 <= n % 100 <= 13 else {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
+    return f"{n}{suffix}"
 
 
 def nth_root(a: GrossNumber, n: int) -> GrossNumber:
@@ -477,7 +540,7 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     num = _iroot_exact(t.coeff.numerator, n)
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
-        raise CoefficientNotPerfectPower(f"{t.coeff} is not a perfect {n}-th power")
+        raise CoefficientNotPerfectPower(f"{t.coeff} is not a perfect {_ordinal(n)} power")
     return GrossNumber((GrossTerm(_div(num, den), _ONE, _div(t.gpow, n)),))
 
 

@@ -193,6 +193,35 @@ class TestPowerSizeLimit:
         assert run(capsys, "--eval", "1^(10^9*G)") == (0, "1\n", "")
 
 
+class TestOddRoots:
+    """An odd root of a negative coefficient is negative; an even one is
+    refused with the degree as an English ordinal."""
+
+    @pytest.mark.parametrize("line, out", [
+        ("(-8)^(1/3)", "-2\n"),
+        ("(-8*G^3)^(1/3)", "-2*G\n"),
+        ("(-8/27)^(1/3)", "-2/3\n"),
+        ("root(-32*G^5, 5)", "-2*G\n"),
+    ])
+    def test_odd_root_of_a_negative_number(self, capsys, line, out):
+        assert run(capsys, "--eval", line) == (0, out, "")
+
+    @pytest.mark.parametrize("line, err", [
+        ("(-4)^(1/2)", "error: -4 is not a perfect 2nd power\n"),
+        ("root(-4*G^2, 2)", "error: -4 is not a perfect 2nd power\n"),
+        ("root(2*G, 2)", "error: 2 is not a perfect 2nd power\n"),
+        ("root(2, 3)", "error: 2 is not a perfect 3rd power\n"),
+        ("root(2, 11)", "error: 2 is not a perfect 11th power\n"),
+        ("root(2, 21)", "error: 2 is not a perfect 21st power\n"),
+    ])
+    def test_a_root_that_is_not_exact_is_an_eval_error(self, capsys, line, err):
+        assert run(capsys, "--eval", line) == (3, "", err)
+
+    def test_json_value(self, capsys):
+        assert run(capsys, "--json", "--eval", "(-8)^(1/3)") == (
+            0, '{"type": "number", "value": "-2"}\n', "")
+
+
 class TestParadox:
     def test_hilbert_default(self, capsys):
         code, out, _ = run(capsys, "paradox", "hilbert")

@@ -149,6 +149,47 @@ class TestAddMul:
         assert str(left * right) == "6^G*G^3"
 
 
+def _n(*triples):
+    """A number from ``(coeff, base, gpow)`` triples, in any order."""
+    return normalize(term(*t) for t in triples)
+
+
+class TestAddByMerge:
+    """``+`` and ``-`` merge two canonical term tuples; ``normalize`` of the
+    concatenated terms is the reference."""
+
+    @pytest.mark.parametrize("a, b, total", [
+        (_n((2, 1, 2), (-1, 1, 1), (7, 1, 0)), _n((-2, 1, 2), (1, 1, 1), (-7, 1, 0)), "0"),
+        (_n((1, 2, 0), (3, 1, 1), (1, 1, 0)), _n((-3, 1, 1), (5, 1, -1)), "2^G + 1 + 5*G^-1"),
+        (_n((1, Fraction(3, 2), 0), (1, 1, 3), (1, Fraction(1, 2), 0)),
+         _n((2, Fraction(3, 2), 1), (4, 1, 0), (1, Fraction(1, 2), 0), (5, Fraction(1, 2), -2)),
+         "2*(3/2)^G*G + (3/2)^G + G^3 + 4 + 2*(1/2)^G + 5*(1/2)^G*G^-2"),
+        (_n((1, 1, 3), (1, 1, -1)), _n((2, 1, 2), (2, 1, 0), (2, 1, -2)),
+         "G^3 + 2*G^2 + 2 + G^-1 + 2*G^-2"),
+        (_n((1, 1, 1), (Fraction(1, 2), 1, 0)), ZERO, "G + 1/2"),
+    ], ids=["full-cancellation", "middle-cancels", "interleaved-bases",
+            "equal-base-other-powers", "zero-operand"])
+    def test_matches_normalize_both_ways(self, a, b, total):
+        assert str(a + b) == total
+        assert (a + b).terms == normalize(a.terms + b.terms).terms
+        assert (b + a).terms == (a + b).terms
+        assert (a - b).terms == normalize(a.terms + (-b).terms).terms
+
+    def test_one_operand_zero_returns_the_other(self):
+        a = 3 * G - Fraction(1, 2)
+        assert a + ZERO is a and ZERO + a is a
+        assert a - 0 == a and 0 - a == -a
+
+    def test_a_sum_that_becomes_integral_is_an_int(self):
+        c = (gnum(Fraction(1, 4)) + Fraction(3, 4)).terms[0].coeff
+        assert type(c) is int and c == 1
+
+    def test_unmatched_terms_are_reused(self):
+        a, b = G**2 + 1, G
+        s = a + b
+        assert s.terms[0] is a.terms[0] and s.terms[1] is b.terms[0]
+
+
 class TestDivision:
     def test_monomial_divisor(self):
         assert (G**2 + G) / G == G + 1
@@ -168,6 +209,11 @@ class TestDivision:
     def test_mixed_base_inexact_terminates(self):
         with pytest.raises(NotExactlyDivisible):
             (exp_gross(2, G) + exp_gross(Fraction(1, 2), G)) / (G + 1)
+
+    def test_multi_term_quotient_is_canonical(self):
+        q = _n((3, 2, 1), (-1, 1, 2), (Fraction(1, 2), 1, 0), (4, Fraction(1, 2), -1))
+        b = G**2 - exp_gross(Fraction(1, 2), G) + 1
+        assert (q * b / b).terms == q.terms
 
 
 class TestPow:
@@ -329,6 +375,29 @@ class TestNthRoot:
         with pytest.raises(ValueError):
             nth_root(gnum(0), 0)
 
+    @pytest.mark.parametrize("a, n, root", [
+        (gnum(-8), 3, gnum(-2)),
+        (-8 * G**3, 3, -2 * G),
+        (gnum(Fraction(-8, 27)), 3, gnum(Fraction(-2, 3))),
+        (-32 * G**-5, 5, -2 * G**-1),
+    ])
+    def test_odd_root_of_a_negative_coefficient(self, a, n, root):
+        assert nth_root(a, n) == root
+
+    @pytest.mark.parametrize("a", [gnum(-4), -4 * G**2, gnum(Fraction(-1, 9))])
+    def test_even_root_of_a_negative_coefficient_is_refused(self, a):
+        with pytest.raises(CoefficientNotPerfectPower, match="is not a perfect 2nd power"):
+            nth_root(a, 2)
+
+    @pytest.mark.parametrize("n, ordinal", [
+        (2, "2nd"), (3, "3rd"), (4, "4th"), (11, "11th"), (12, "12th"), (13, "13th"),
+        (21, "21st"), (22, "22nd"), (23, "23rd"), (111, "111th"), (101, "101st"),
+    ])
+    def test_the_degree_is_an_english_ordinal(self, n, ordinal):
+        with pytest.raises(CoefficientNotPerfectPower) as info:
+            nth_root(gnum(5), n)
+        assert str(info.value) == f"5 is not a perfect {ordinal} power"
+
 
 class TestEvalAt:
     def test_substitution(self):
@@ -338,8 +407,16 @@ class TestEvalAt:
         assert eval_at(exp_gross(2, G) - 1, 10) == 1023
 
     def test_fractional_power_guarded(self):
-        with pytest.raises(FractionalGrossPower):
+        with pytest.raises(FractionalGrossPower, match=r"^G\^\(1/2\) cannot be evaluated$"):
             eval_at(nth_root(G, 2), 100)
+
+    def test_negative_g_powers_are_exact(self):
+        v = eval_at(3 * G**-2 + Fraction(1, 2) * G - 1, 7)
+        assert type(v) is Fraction and v == Fraction(3, 49) + Fraction(7, 2) - 1
+
+    @pytest.mark.parametrize("x", [gnum(0), gnum(5), G**2 - G, exp_gross(2, G) * G**-1])
+    def test_always_a_fraction(self, x):
+        assert type(eval_at(x, 4)) is Fraction
 
 
 class TestFormat:

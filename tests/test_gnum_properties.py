@@ -165,6 +165,32 @@ def test_normalize_of_shuffled_terms_is_the_sum(a, b, rng):
     assert normalize(a.terms + (-a).terms) == ZERO
 
 
+@settings(max_examples=200)
+@given(st.integers(), st.booleans())
+def test_add_and_sub_merge_as_normalize_sums(seed, fractional):
+    """``+`` and ``-`` merge canonical tuples; ``normalize`` of the
+    concatenated terms is the reference.  ``b`` reuses some of ``a``'s keys,
+    so that sums meet equal keys and cancel."""
+    rng = random.Random(seed)
+
+    def draw():
+        return random_number(rng, max_terms=6, coeff_bound=5, fractional_gpow=fractional,
+                             coeff_den_bound=rng.choice([1, 3]))
+
+    a = draw()
+    shared = [t for t in a.terms if rng.random() < 0.5]
+    b = draw() + normalize(term(rng.choice([-1, 1]) * t.coeff, t.base, t.gpow) for t in shared)
+    assert (a + b).terms == normalize(a.terms + b.terms).terms
+    assert (a - b).terms == normalize(a.terms + (-b).terms).terms
+
+
+@given(numbers, st.lists(terms, min_size=2, max_size=4).map(normalize))
+def test_an_exact_quotient_is_canonical(q, b):
+    if len(b.terms) < 2:
+        return
+    assert div_exact(q * b, b).terms == normalize(q.terms).terms
+
+
 @given(coeffs | st.just(0))
 def test_a_finite_number_hashes_as_its_rational(r):
     x = gnum(r)
@@ -189,11 +215,15 @@ def test_term_fields_are_ints_or_proper_fractions(seed):
 
     a, b, m = draw(), draw(), draw(max_terms=1)
     k = rng.randint(1, 3)
+    # Coefficients that sum with a's to 0, to an int or to a proper fraction.
+    partner = normalize(
+        term(rng.choice([0, 1, -2, Fraction(1, 4), Fraction(3, 4)]) - t.coeff, t.base, t.gpow)
+        for t in a.terms)
     results = [
         GrossNumber((term(Fraction(4, 2), Fraction(6, 3), Fraction(-3, 1)),)),
         GrossNumber((term(True, True, False),)),
         gnum(Fraction(10, 5)), gnum(True), gnum(Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
-        a + b, a - b, -a, a * b, a * m, m * m,
+        a + b, a - b, -a, a * b, a * m, m * m, a + partner, partner - a, a - (a - m),
         pow_int(a, k), pow_int(b, rng.randint(0, 2)) if b else b,
         exp_gross(rng.choice(BASE_POOL + [0, 7]), rng.randint(1, 3) * GROSSONE + rng.randint(-3, 3)),
         exp_gross(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-3, 3) * GROSSONE),
