@@ -21,7 +21,18 @@ class NotPositive(GrossoneError, ValueError):
 
 
 class NotExactlyDivisible(GrossoneError):
-    """Long division left a nonzero remainder; no approximate series is produced."""
+    """Long division left a nonzero remainder; no approximate series is produced.
+
+    Keeps both numbers as ``dividend`` and ``divisor``; the message is
+    rendered from them only when it is asked for."""
+
+    def __init__(self, dividend, divisor):
+        super().__init__(dividend, divisor)
+        self.dividend = dividend
+        self.divisor = divisor
+
+    def __str__(self) -> str:
+        return f"({self.dividend}) is not exactly divisible by ({self.divisor})"
 
 
 class NegativePowerOfSum(GrossoneError):

@@ -45,9 +45,9 @@ _ONE = 1
 _ZERO = 0
 _FINITE_KEY = (_ONE, _ZERO)
 
-#: The most bits ``pow_int`` (of a single term) and ``exp_gross`` let one
-#: power of a rational need; a larger power is refused with :class:`TooLarge`
-#: before it is built.
+#: The most bits ``pow_int`` (of a single term), ``exp_gross`` and
+#: ``eval_at`` let one power of a rational need; a larger power is refused
+#: with :class:`TooLarge` before it is built.
 MAX_POWER_BITS = 1 << 20
 
 
@@ -290,9 +290,10 @@ class GrossNumber:
         for c, b, p in self.terms:
             if type(p) is not int:
                 raise FractionalGrossPower(f"G^({p}) cannot be evaluated")
-            v = c * b ** t
-            # A negative power of an int would be a float.
-            total += v * t ** p if p >= 0 else Fraction(v) / t ** -p
+            # Each power is refused with TooLarge before it is built.
+            v = c * _power(b, t)
+            # For p < 0 one Fraction division costs less than Fraction(t) ** p.
+            total += v * _power(t, p) if p >= 0 else Fraction(v) / _power(t, -p)
         return Fraction(total)
 
     # -- rendering --------------------------------------------------------
@@ -408,15 +409,20 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     pow_lo = min(pows_a) - min(pows_b)
     pow_hi = max(pows_a) - max(pows_b)
 
-    lead = b.terms[0]
+    lead, tail = b.terms[0], b.terms[1:]
     quotient: list = []
     rest = a
     while rest.terms:
         t = _divide_term(rest.terms[0], lead)
         if not (base_lo <= t.base <= base_hi and pow_lo <= t.gpow <= pow_hi):
-            raise NotExactlyDivisible(f"({a}) is not exactly divisible by ({b})")
+            raise NotExactlyDivisible(a, b)
         quotient.append(t)
-        rest = rest - GrossNumber((t,)) * b
+        # rest - t*b in one merge.  t*lead cancels rest's lead term exactly,
+        # and scaling by t (a positive base) keeps the key order of b's tail,
+        # so -(t * tail) is canonical as built.
+        c, B, p = t
+        rest = GrossNumber(rest.terms[1:]) + GrossNumber(tuple(
+            GrossTerm(_q(-c * cb), _q(B * bb), _q(p + pb)) for cb, bb, pb in tail))
     # The lead key of ``rest`` falls at every step, so the quotient terms
     # are already distinct, descending and nonzero.
     return GrossNumber(tuple(quotient))

@@ -165,6 +165,21 @@ class TestDigitLimit:
     def test_comparing_such_a_number_still_works(self, capsys):
         assert run(capsys, "--eval", f"2^{4 * self.LIMIT} < 3") == (0, "false\n", "")
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_an_error_naming_such_a_number_is_an_eval_error(self, capsys, flags):
+        # The refused division's message would print the dividend.
+        line = f"(10^{self.LIMIT + 700}*G+1)/(G-1)"
+        code, out, err = run(capsys, *flags, "--eval", line)
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot print a number with more than {self.LIMIT} digits\n"
+
+    def test_a_script_stops_at_an_error_naming_such_a_number(self, tmp_path, capsys):
+        script = tmp_path / "div.g"
+        script.write_text(f"G+1\n(10^{self.LIMIT + 700}*G+1)/(G-1)\nG\n")
+        code, out, err = run(capsys, "--script", str(script))
+        assert (code, out) == (3, "G+1 => G + 1\n")
+        assert err == f"line 2: error: cannot print a number with more than {self.LIMIT} digits\n"
+
 
 class TestPowerSizeLimit:
     """A power of a rational whose size passes gnum.MAX_POWER_BITS (2**20)
@@ -181,6 +196,10 @@ class TestPowerSizeLimit:
         "geo(1/2, 2^20000)",
         "2^(G + 2^20000)",
         "(2/3)^(2^20000*G)",
+        "evalat(2^G, 2^40)",
+        "evalat((3/2)^G + G, 2^21)",
+        "evalat(G^6, 2^200000)",
+        "evalat(G^-6 + 1, 2^200000)",
     ])
     def test_a_power_past_the_limit_is_an_eval_error(self, capsys, line):
         assert run(capsys, "--eval", line) == (3, "", self.ERR)

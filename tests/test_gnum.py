@@ -36,6 +36,7 @@ from grossone.errors import (
     NotAMonomial,
     NotExactlyDivisible,
     NotPositive,
+    TooLarge,
     TooManyDigits,
     ZeroToZero,
 )
@@ -214,6 +215,46 @@ class TestDivision:
         q = _n((3, 2, 1), (-1, 1, 2), (Fraction(1, 2), 1, 0), (4, Fraction(1, 2), -1))
         b = G**2 - exp_gross(Fraction(1, 2), G) + 1
         assert (q * b / b).terms == q.terms
+
+    @pytest.mark.parametrize("a, b", [
+        (G + 1, G - 1),
+        (exp_gross(2, G) + exp_gross(Fraction(1, 2), G), G + 1),
+        (G**2 + Fraction(1, 3), _n((3, 1, -1), (1, 1, Fraction(-1, 2)))),
+    ])
+    def test_the_error_keeps_both_numbers(self, a, b):
+        with pytest.raises(NotExactlyDivisible) as info:
+            a / b
+        err = info.value
+        assert err.dividend is a and err.divisor is b and err.args == (a, b)
+        assert str(err) == f"({a}) is not exactly divisible by ({b})"
+        assert repr(err) == f"NotExactlyDivisible({a!r}, {b!r})"
+
+    def test_the_message_is_rendered_only_when_asked_for(self, monkeypatch):
+        import grossone.gnum as m
+
+        calls = []
+        monkeypatch.setattr(m, "format_number", lambda x: calls.append(x) or "x")
+        with pytest.raises(NotExactlyDivisible) as info:
+            (G + 1) / (G - 1)
+        assert calls == []
+        assert str(info.value) == "(x) is not exactly divisible by (x)"
+
+    def test_a_multi_term_step_calls_neither_normalize_nor_mul(self, monkeypatch):
+        import grossone.gnum as m
+
+        q = _n((3, 2, 1), (-1, 1, 2), (Fraction(1, 2), 1, 0), (4, Fraction(1, 2), -1))
+        b = _n((1, 1, 2), (-1, Fraction(1, 2), 0), (1, 1, Fraction(1, 3)), (-7, 1, 0))
+        a = q * b
+
+        def refused(*args):
+            raise AssertionError("called from div_exact")
+
+        monkeypatch.setattr(m, "normalize", refused)
+        monkeypatch.setattr(m.GrossNumber, "__mul__", refused)
+        monkeypatch.setattr(m.GrossNumber, "__rmul__", refused)
+        assert m.div_exact(a, b).terms == q.terms
+        with pytest.raises(NotExactlyDivisible):
+            m.div_exact(a + G**9, b)
 
 
 class TestPow:
@@ -417,6 +458,21 @@ class TestEvalAt:
     @pytest.mark.parametrize("x", [gnum(0), gnum(5), G**2 - G, exp_gross(2, G) * G**-1])
     def test_always_a_fraction(self, x):
         assert type(eval_at(x, 4)) is Fraction
+
+    @pytest.mark.parametrize("x, t", [
+        (exp_gross(2, G), 2**40),
+        (exp_gross(Fraction(2, 3), G) + 1, 2**21),
+        (G**3 + 1, 2**400000),
+        (G**-3, 2**400000),
+    ], ids=["2^G", "(2/3)^G", "G^3", "G^-3"])
+    def test_a_power_past_the_limit_is_refused_before_it_is_built(self, x, t):
+        with pytest.raises(TooLarge, match="^a power would need more than 1048576 bits$"):
+            eval_at(x, t)
+
+    def test_a_power_at_the_limit_is_built(self):
+        # (2 - 1) bits of bound per unit of t: 2^20 is the largest admitted t.
+        assert eval_at(exp_gross(2, G), 2**20) == 2 ** 2**20
+        assert eval_at(G**-1, 2**40) == Fraction(1, 2**40)
 
 
 class TestFormat:

@@ -191,6 +191,45 @@ def test_an_exact_quotient_is_canonical(q, b):
     assert div_exact(q * b, b).terms == normalize(q.terms).terms
 
 
+def _draw_quotient_and_divisor(rng):
+    """A quotient and a divisor of at least two terms from the test family,
+    with mixed bases and, half the time, fractional G-powers."""
+    fractional = rng.random() < 0.5
+
+    def draw():
+        return random_number(rng, coeff_bound=50, fractional_gpow=fractional,
+                             coeff_den_bound=rng.choice([1, 4]))
+
+    b = draw()
+    while len(b.terms) < 2:
+        b = draw()
+    return draw(), b
+
+
+@settings(max_examples=200)
+@given(st.integers())
+def test_a_product_divides_back_to_its_quotient(seed):
+    q, b = _draw_quotient_and_divisor(random.Random(seed))
+    assert div_exact(q * b, b).terms == q.terms
+
+
+@settings(max_examples=200)
+@given(st.integers())
+def test_a_perturbed_product_is_refused_or_multiplies_back(seed):
+    """``q*b`` plus one monomial: long division either refuses it, keeping
+    both numbers, or returns a quotient whose product with ``b`` is it."""
+    rng = random.Random(seed)
+    q, b = _draw_quotient_and_divisor(rng)
+    m = random_number(rng, max_terms=1, coeff_bound=50, fractional_gpow=rng.random() < 0.5)
+    a = q * b + m
+    try:
+        r = div_exact(a, b)
+    except NotExactlyDivisible as exc:
+        assert exc.dividend is a and exc.divisor is b
+    else:
+        assert r * b == a
+
+
 @given(coeffs | st.just(0))
 def test_a_finite_number_hashes_as_its_rational(r):
     x = gnum(r)
