@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from . import paradoxes, series, sets
 from .errors import (
@@ -42,13 +41,16 @@ from .gnum import (
     exp_gross,
     gnum,
     nth_root,
-    pow_int,
 )
 from .paradoxes import LampState, ParadoxReport
 from .series import RamanujanAudit
 from .sets import AdjustedSet, EmptySet, GrossAP, RootCount
 
 GROSSONE_GLYPH = "①"
+
+#: The most levels of nesting (open brackets, unary minuses and unfinished ``^``
+#: exponents) around an operand; deeper input is a ParseError, not a RecursionError.
+MAX_NESTING = 100
 
 
 # --- tokens -------------------------------------------------------------
@@ -71,8 +73,7 @@ class TokenKind(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     offset: int
@@ -123,38 +124,36 @@ def tokenize(text: str) -> List[Token]:
 
 # --- syntax tree ----------------------------------------------------------
 
-@dataclass(frozen=True)
+# Plain objects, so a walker reads a node's fields with vars(); none is changed.
+
 class Literal:
-    value: Union[Fraction, GrossNumber]  # an integer as a Fraction; G as GROSSONE
+    def __init__(self, value: GrossNumber):  # the value of an integer or G
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Name:
-    ident: str
+    def __init__(self, ident: str):
+        self.ident = ident
 
 
-@dataclass(frozen=True)
 class Unary:
-    op: str
-    operand: "Expr"
+    def __init__(self, op: str, operand: "Expr"):
+        self.op, self.operand = op, operand
 
 
-@dataclass(frozen=True)
 class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(frozen=True)
 class Call:
-    name: str
-    args: Tuple["Expr", ...]
+    def __init__(self, name: str, args: Tuple["Expr", ...]):
+        self.name, self.args = name, args
 
 
-@dataclass(frozen=True)
 class SetLit:
-    items: Tuple["Expr", ...]
+    def __init__(self, items: Tuple["Expr", ...]):
+        self.items = items
 
 
 Expr = Union[Literal, Name, Unary, Binary, Call, SetLit]
@@ -164,6 +163,7 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -209,10 +209,17 @@ class Parser:
         return node
 
     def unary(self) -> Expr:
+        # Each level of nesting parses its operand through one more unary.
+        if self.depth > MAX_NESTING:
+            raise ParseError(self.peek().offset, f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
         if self.peek().kind is TokenKind.MINUS:
             self.advance()
-            return Unary("-", self.unary())
-        return self.power()
+            node = Unary("-", self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -230,7 +237,7 @@ class Parser:
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
             self.advance()
-            return Literal(Fraction(value))
+            return Literal(gnum(value))
         if tok.kind is TokenKind.G:
             self.advance()
             return Literal(GROSSONE)
@@ -372,7 +379,8 @@ def _ap(name: str, pos: int, v: Value) -> GrossAP:
 
 def _ints(name: str, pos: int, v: Value) -> Tuple[int, ...]:
     """A ``{...}`` literal's elements, or one finite integer."""
-    return v if isinstance(v, tuple) else (_int(name, pos, v),)
+    # Exactly a tuple: the records a builtin returns are tuples as well.
+    return v if type(v) is tuple else (_int(name, pos, v),)
 
 
 def _word(name: str, pos: int, state: LampState) -> LampState:
@@ -388,8 +396,7 @@ def _check_arity(name: str, args, lo: int, hi: Optional[int]):
 
 # --- builtins --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(NamedTuple):
     """A function of the language.
 
     ``coercers`` has one entry per argument position; the last entry also
@@ -450,11 +457,7 @@ _RATIONAL_CLASSES = (NumberClass.FINITE_PURE, NumberClass.ZERO)  # of a plain ra
 def _eval_power(left: Value, right: Value) -> GrossNumber:
     rv = _number("^", 2, right)
     if rv.classify() in _RATIONAL_CLASSES:
-        exponent = rv.as_rational()
-        base = _number("^", 1, left)
-        if exponent.denominator == 1:
-            return pow_int(base, int(exponent))
-        return nth_root(pow_int(base, exponent.numerator), exponent.denominator)
+        return _number("^", 1, left) ** rv.as_rational()
     # Exponent involves G: the base must be a plain nonnegative rational.
     if not (isinstance(left, GrossNumber) and left.classify() in _RATIONAL_CLASSES
             and left.sign() >= 0):
@@ -478,7 +481,7 @@ _OPERATORS = {
 
 def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, Literal):
-        return gnum(expr.value)
+        return expr.value
     if isinstance(expr, Name):
         raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
     if isinstance(expr, SetLit):

@@ -17,7 +17,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -41,9 +40,7 @@ from .errors import (
 
 RationalLike = Union[int, Fraction]
 
-_ONE = 1
-_ZERO = 0
-_FINITE_KEY = (_ONE, _ZERO)
+_FINITE_KEY = (1, 0)
 
 #: The most bits ``pow_int`` (of a single term), ``exp_gross`` and
 #: ``eval_at`` let one power of a rational need; a larger power is refused
@@ -167,11 +164,22 @@ def _add(a: "GrossNumber", b: "GrossNumber") -> "GrossNumber":
     return GrossNumber(tuple(out))
 
 
-@dataclass(frozen=True, eq=False)
 class GrossNumber:
     """Canonical finite sum of :class:`GrossTerm`; the empty sum is zero."""
 
-    terms: Tuple[GrossTerm, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[GrossTerm, ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a GrossNumber cannot be changed: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, not __setattr__.
+        return GrossNumber, (self.terms,)
 
     # -- ring structure -------------------------------------------------
 
@@ -193,9 +201,12 @@ class GrossNumber:
         return GrossNumber(tuple(GrossTerm(-t.coeff, t.base, t.gpow) for t in self.terms))
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        # p/q as the language's ^ takes it: an exact power, then a q-th root.
+        if isinstance(k, Fraction) and k.denominator != 1:
+            return nth_root(pow_int(self, k.numerator), k.denominator)
+        if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        return pow_int(self, k)
+        return pow_int(self, int(k))
 
     # -- order ------------------------------------------------------------
 
@@ -263,7 +274,7 @@ class GrossNumber:
         for t in self.terms:
             if t.key == _FINITE_KEY:
                 return t.coeff
-        return _ZERO
+        return 0
 
     def parity(self) -> Parity:
         if not self.is_gross_integer():
@@ -277,7 +288,7 @@ class GrossNumber:
         """The exact rational value of a finite pure number, an ``int`` when
         it is integral."""
         if not self.terms:
-            return _ZERO
+            return 0
         if len(self.terms) == 1 and self.terms[0].key == _FINITE_KEY:
             return self.terms[0].coeff
         raise ValueError(f"{self} is not a finite pure rational")
@@ -286,7 +297,7 @@ class GrossNumber:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
         if t <= 0:
             raise NotPositive("substitution point must be a positive integer")
-        total = _ZERO
+        total = 0
         for c, b, p in self.terms:
             if type(p) is not int:
                 raise FractionalGrossPower(f"G^({p}) cannot be evaluated")
@@ -306,8 +317,8 @@ class GrossNumber:
 
 
 ZERO = GrossNumber(())
-ONE = GrossNumber((GrossTerm(_ONE, _ONE, _ZERO),))
-GROSSONE = GrossNumber((GrossTerm(_ONE, _ONE, _ONE),))
+ONE = GrossNumber((GrossTerm(1, 1, 0),))
+GROSSONE = GrossNumber((GrossTerm(1, 1, 1),))
 G = GROSSONE
 
 
@@ -316,7 +327,7 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     if isinstance(value, GrossNumber):
         return value
     c = _rational(value)
-    return GrossNumber((GrossTerm(c, _ONE, _ZERO),) if c else ())
+    return GrossNumber((GrossTerm(c, 1, 0),) if c else ())
 
 
 def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) -> GrossNumber:
@@ -465,12 +476,12 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
 
 def linear_gross_parts(e: GrossNumber) -> Tuple[int, int]:
     """Decompose ``e = a*G + d`` with integer a, d, or reject the shape."""
-    parts = {_ONE: 0, _ZERO: 0}  # G-power -> integer coefficient
+    parts = {1: 0, 0: 0}  # G-power -> integer coefficient
     for t in e.terms:
         if t.base != 1 or t.gpow not in parts or t.coeff.denominator != 1:
             raise ExponentNotLinearInGrossone(f"exponent {e} is not of the form a*G + d")
         parts[t.gpow] = int(t.coeff)
-    return parts[_ONE], parts[_ZERO]
+    return parts[1], parts[0]
 
 
 def exp_gross(b: RationalLike, e) -> GrossNumber:
@@ -490,7 +501,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
         raise NotPositive("exponential base must be nonnegative")
-    return GrossNumber((GrossTerm(_power(base, d), _power(base, a), _ZERO),))
+    return GrossNumber((GrossTerm(_power(base, d), _power(base, a), 0),))
 
 
 def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
@@ -547,7 +558,7 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
         raise CoefficientNotPerfectPower(f"{t.coeff} is not a perfect {_ordinal(n)} power")
-    return GrossNumber((GrossTerm(_div(num, den), _ONE, _div(t.gpow, n)),))
+    return GrossNumber((GrossTerm(_div(num, den), 1, _div(t.gpow, n)),))
 
 
 # -- canonical rendering -------------------------------------------------------

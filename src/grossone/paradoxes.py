@@ -8,10 +8,9 @@ passed; the narratives are fixed templates, not generated prose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import CountNotGrossInteger, NotInfinitesimalWidth, NotPositive, TooManyNewcomers
 from .gnum import G, NumberClass, Parity, exp_gross, gnum
@@ -37,15 +36,13 @@ class LampState(Enum):
         return LampState.OFF if self is LampState.ON else LampState.ON
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     description: str
     value: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(NamedTuple):
     name: str
     claims: Tuple[Claim, ...]
     narrative: str
@@ -64,13 +61,8 @@ class ParadoxReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "claims": [
-                {"desc": c.description, "value": c.value, "ok": c.ok} for c in self.claims
-            ],
-            "resolved": self.resolved,
-        }
+        claims = [{"desc": c.description, "value": c.value, "ok": c.ok} for c in self.claims]
+        return {"name": self.name, "claims": claims, "resolved": self.resolved}
 
 
 def galileo_report() -> ParadoxReport:

@@ -9,7 +9,7 @@ addends is decided by the parity of ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAGrossInteger, NotPositive, OddLength, UnitRatio
 from .gnum import (
@@ -25,8 +25,7 @@ from .gnum import (
 )
 
 
-@dataclass(frozen=True)
-class RamanujanAudit:
+class RamanujanAudit(NamedTuple):
     """Both evaluations of ``-3 * (1 + 2 + ... + n)`` under the rearrangement."""
 
     lhs: GrossNumber
@@ -42,9 +41,7 @@ class RamanujanAudit:
 
 def ap_sum(first, step, count) -> GrossNumber:
     """Sum of an arithmetic progression with ``count`` addends, exactly."""
-    first = gnum(first)
-    step = gnum(step)
-    count = gnum(count)
+    first, step, count = gnum(first), gnum(step), gnum(count)
     return count * first + step * count * (count - 1) / 2
 
 

@@ -12,8 +12,7 @@ element and membership; richer operations reject them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import (
     ElementAlreadyPresent,
@@ -26,28 +25,28 @@ from .errors import (
 from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
 
 
-@dataclass(frozen=True)
-class GrossAP:
+class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
+                                     ("count", GrossNumber)])):
     """Arithmetic progression with a gross-integer number of elements."""
 
-    first: GrossNumber
-    step: int
-    count: GrossNumber
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", gnum(self.first))
-        object.__setattr__(self, "count", gnum(self.count))
-        if self.step <= 0:
+    def __new__(cls, first, step: int, count):
+        first, count = gnum(first), gnum(count)
+        if step <= 0:
             raise NotPositive("step must be a positive integer")
-        if not self.count.is_gross_integer() or self.count.sign() <= 0:
+        if not count.is_gross_integer() or count.sign() <= 0:
             raise NotPositive("count must be a positive gross-integer")
+        return super().__new__(cls, first, step, count)
+
+    # _replace builds through _make, which would skip the checks above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
         return f"AP(first={self.first}, step={self.step}, count={self.count})"
 
 
-@dataclass(frozen=True)
-class AdjustedSet:
+class AdjustedSet(NamedTuple):
     """A progression or the empty set with finitely many integers added and removed."""
 
     base: Union[GrossAP, EmptySet]
@@ -63,14 +62,11 @@ class AdjustedSet:
         return out
 
 
-class EmptySet:
+class EmptySet(NamedTuple):
     """The empty intersection result."""
 
     def __str__(self) -> str:
         return "Empty"
-
-    def __repr__(self) -> str:
-        return "EmptySet()"
 
 
 EMPTY = EmptySet()
@@ -78,8 +74,7 @@ EMPTY = EmptySet()
 SetLike = Union[GrossAP, AdjustedSet, EmptySet]
 
 
-@dataclass(frozen=True)
-class RootCount:
+class RootCount(NamedTuple):
     """The count ``floor(radicand**(1/degree))``, kept bracketed.
 
     The floor is never resolved to a gross-number; callers get the exact

@@ -332,12 +332,19 @@ GALILEO_PARADOX_JSON = (
 
 
 def _called_names(expr) -> set:
+    """The builtins a syntax tree calls; a node's children are the syntax-tree
+    objects among its attributes."""
     names = {expr.name} if isinstance(expr, Call) else set()
     for child in vars(expr).values():
         for node in child if isinstance(child, tuple) else (child,):
-            if hasattr(node, "__dataclass_fields__"):
+            if type(node).__module__ == Call.__module__ and hasattr(node, "__dict__"):
                 names |= _called_names(node)
     return names
+
+
+def test_called_names_walks_the_whole_tree():
+    assert _called_names(parse(tokenize("-card(scale(nat(), 2)) + {tri(1)}"))) == {
+        "card", "scale", "nat", "tri"}
 
 
 @pytest.mark.parametrize("expr", sorted(PINNED))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from grossone.cli import main
+from grossone.exprlang import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -179,6 +180,60 @@ class TestDigitLimit:
         code, out, err = run(capsys, "--script", str(script))
         assert (code, out) == (3, "G+1 => G + 1\n")
         assert err == f"line 2: error: cannot print a number with more than {self.LIMIT} digits\n"
+
+
+def _mixed(depth: int) -> str:
+    """``depth`` levels of brackets, calls, unary minuses and exponents around 1."""
+    text = "1"
+    for i in range(depth):
+        text = ("({})", "root({}, 1)", "-{}", "1^{}")[i % 4].format(text)
+    return text
+
+
+class TestNestingLimit:
+    """Up to MAX_NESTING levels of nesting parse and evaluate; one more is a
+    parse error (exit 2), never a RecursionError traceback."""
+
+    N = MAX_NESTING
+    CONSTRUCTS = {
+        "parentheses": (lambda d: "(" * d + "G" + ")" * d, "G"),
+        "calls": (lambda d: "root(" * d + "G" + ", 1)" * d, "G"),
+        "unary minuses": (lambda d: "-" * d + "G", "G"),
+        "power tower": (lambda d: "^".join(["1"] * (d + 1)), "1"),
+        "braces": (lambda d: "{" + "(" * (d - 1) + "1" + ")" * (d - 1) + "}", "{1}"),
+    }
+
+    @pytest.mark.parametrize("kind", CONSTRUCTS)
+    def test_the_limit_evaluates(self, capsys, kind):
+        text, value = self.CONSTRUCTS[kind]
+        assert run(capsys, "--eval", text(self.N)) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("kind", CONSTRUCTS)
+    def test_one_level_more_is_a_parse_error(self, capsys, kind):
+        code, out, err = run(capsys, "--eval", self.CONSTRUCTS[kind][0](self.N + 1))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: expected at most {self.N} levels of nesting at offset ")
+
+    def test_the_offset_is_that_of_the_first_operand_past_the_limit(self, capsys):
+        code, _, err = run(capsys, "--json", "--eval", "(" * 200 + "1" + ")" * 200)
+        assert (code, err) == (2, f"error: expected at most {self.N} levels of nesting at offset 101\n")
+
+    def test_levels_of_every_kind_add_up(self, capsys):
+        assert run(capsys, "--eval", _mixed(self.N)) == (0, "1\n", "")
+        assert run(capsys, "--eval", "{" + _mixed(self.N - 1) + "}") == (0, "{-1}\n", "")
+        assert run(capsys, "--eval", _mixed(self.N + 1))[0] == 2
+        assert run(capsys, "--eval", "{" + _mixed(self.N) + "}")[0] == 2
+
+    @pytest.mark.parametrize("text", [
+        "(" * 164 + "1" + ")" * 164, "root(" * 140 + "G" + ", 1)" * 140,
+        "^".join(["1"] * 495), "-" * 986 + "1", "(" * 5000 + "1",
+    ])
+    def test_inputs_deeper_than_the_limit_are_parse_errors(self, capsys, text):
+        assert run(capsys, "--eval", text)[0] == 2
+
+    def test_a_flat_chain_is_not_nesting(self, capsys):
+        assert run(capsys, "--eval", " + ".join(["G"] * 300)) == (0, "300*G\n", "")
+        assert run(capsys, "--eval", "(" + " - ".join(["(1)"] * 300) + ")") == (0, "-298\n", "")
 
 
 class TestPowerSizeLimit:

@@ -27,7 +27,7 @@ from grossone.exprlang import (
     value_json,
 )
 from grossone import exprlang
-from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity, gnum
+from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity
 from grossone.paradoxes import ParadoxReport
 from grossone.series import RamanujanAudit
 from grossone.sets import EMPTY, AdjustedSet, EmptySet, GrossAP, RootCount
@@ -97,10 +97,11 @@ class TestParse:
     def test_literals(self):
         for text in ("G", GROSSONE_GLYPH):
             g = parse(tokenize(text))
-            assert g == Literal(GROSSONE) and g.value is GROSSONE
-        seven = parse(tokenize("7")).value
-        assert seven == 7 and type(seven) is Fraction
-        assert eval_expr(Literal(Fraction(3))) == gnum(3)
+            assert type(g) is Literal and g.value is GROSSONE
+        seven = parse(tokenize("7"))
+        assert type(seven.value) is GrossNumber and seven.value == 7
+        # Evaluating a literal returns the number the parser built.
+        assert eval_expr(seven) is seven.value
 
     def test_a_literal_past_the_digit_limit_is_a_parse_error(self):
         limit = sys.get_int_max_str_digits()

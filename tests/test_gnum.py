@@ -14,6 +14,7 @@ from grossone import (
     Parity,
     compare,
     eval_at,
+    evaluate,
     exp_gross,
     floor_div_mod,
     format_number,
@@ -272,6 +273,23 @@ class TestPow:
     def test_negative_power_of_sum_rejected(self):
         with pytest.raises(NegativePowerOfSum):
             (G + 1) ** -1
+
+    def test_a_fraction_exponent_is_routed_as_the_language_routes_it(self):
+        assert (G ** Fraction(1, 3)).terms == evaluate("G^(1/3)").terms
+        assert (8 * G**3) ** Fraction(2, 3) == evaluate("(8*G^3)^(2/3)") == 4 * G**2
+        assert (-8 * G**3) ** Fraction(-1, 3) == evaluate("(-8*G^3)^(-1/3)")
+        # An integral Fraction is an exact power, as an int is.
+        assert ((G + 1) ** Fraction(4, 2)).terms == ((G + 1) ** 2).terms
+        with pytest.raises(CoefficientNotPerfectPower):
+            (2 * G) ** Fraction(1, 2)
+        with pytest.raises(NotAMonomial):
+            (G + 1) ** Fraction(1, 2)
+
+    def test_a_float_exponent_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            G ** 0.5
+        with pytest.raises(TypeError):
+            G ** 2.0
 
 
 class TestExpGross:
