@@ -5,8 +5,7 @@ Grammar (loosest binding first)::
     expression := additive (("<" | "<=" | "=" | ">=" | ">") additive)?
     additive   := multiplicative (("+" | "-") multiplicative)*
     multiplicative := unary (("*" | "/") unary)*
-    unary      := "-" unary | power
-    power      := atom ("^" unary)?          -- right-associative
+    unary      := "-" unary | atom ("^" unary)?   -- right-associative
     atom       := INT | "G" | ident "(" args ")" | ident
                 | "(" expression ")" | "{" int-elements "}"
 
@@ -85,9 +84,12 @@ _SINGLE = {c: TokenKind(c) for c in "+-*/^(){},"}
 def tokenize(text: str) -> List[Token]:
     """Maximal-munch lexing; integers are arbitrary precision.
 
-    Offsets count UTF-8 bytes; the offset is carried forward token by token.
+    Offsets count UTF-8 bytes; the offset is carried forward token by token,
+    and in ASCII text it is the character index.
     """
     tokens: List[Token] = []
+    append, new = tokens.append, tuple.__new__  # a Token without its Python __new__
+    ascii_only = text.isascii()
     i = offset = 0
     n = len(text)
     while i < n:
@@ -115,10 +117,10 @@ def tokenize(text: str) -> List[Token]:
             kind, lexeme = _SINGLE[c], c
         else:
             raise LexError(offset, c)
-        tokens.append(Token(kind, lexeme, offset))
-        offset += len(text[i:j].encode("utf-8"))
+        append(new(Token, (kind, lexeme, offset)))
+        offset = j if ascii_only else offset + len(text[i:j].encode("utf-8"))
         i = j
-    tokens.append(Token(TokenKind.END, "", offset))
+    append(new(Token, (TokenKind.END, "", offset)))
     return tokens
 
 
@@ -160,99 +162,96 @@ Expr = Union[Literal, Name, Unary, Binary, Call, SetLit]
 
 
 class Parser:
+    # Reads self.tokens[self.pos] directly: a method call per token was a
+    # large share of the time spent parsing.
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def expect(self, kind: TokenKind, what: str) -> None:
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
         if tok.kind is not kind:
             raise ParseError(tok.offset, what)
-        return self.advance()
+        self.pos += 1
 
     def parse(self) -> Expr:
         expr = self.expression()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.END:
             raise ParseError(tok.offset, "end of input")
         return expr
 
     def expression(self) -> Expr:
         left = self.additive()
-        if self.peek().kind is TokenKind.CMP:
-            op = self.advance().lexeme
-            right = self.additive()
-            return Binary(op, left, right)
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.CMP:
+            self.pos += 1
+            return Binary(tok.lexeme, left, self.additive())
         return left
 
     def additive(self) -> Expr:
         node = self.multiplicative()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op = self.advance().lexeme
-            node = Binary(op, node, self.multiplicative())
+        tok = self.tokens[self.pos]
+        while tok.kind is TokenKind.PLUS or tok.kind is TokenKind.MINUS:
+            self.pos += 1
+            node = Binary(tok.lexeme, node, self.multiplicative())
+            tok = self.tokens[self.pos]
         return node
 
     def multiplicative(self) -> Expr:
         node = self.unary()
-        while self.peek().kind in (TokenKind.STAR, TokenKind.SLASH):
-            op = self.advance().lexeme
-            node = Binary(op, node, self.unary())
+        tok = self.tokens[self.pos]
+        while tok.kind is TokenKind.STAR or tok.kind is TokenKind.SLASH:
+            self.pos += 1
+            node = Binary(tok.lexeme, node, self.unary())
+            tok = self.tokens[self.pos]
         return node
 
     def unary(self) -> Expr:
-        # Each level of nesting parses its operand through one more unary.
+        # Each level of nesting parses its operand through one more unary:
+        # a unary minus, and an unfinished ``^`` exponent (right-associative).
+        tok = self.tokens[self.pos]
         if self.depth > MAX_NESTING:
-            raise ParseError(self.peek().offset, f"at most {MAX_NESTING} levels of nesting")
+            raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting")
         self.depth += 1
-        if self.peek().kind is TokenKind.MINUS:
-            self.advance()
+        if tok.kind is TokenKind.MINUS:
+            self.pos += 1
             node = Unary("-", self.unary())
         else:
-            node = self.power()
+            node = self.atom()
+            if self.tokens[self.pos].kind is TokenKind.CARET:
+                self.pos += 1
+                node = Binary("^", node, self.unary())
         self.depth -= 1
         return node
 
-    def power(self) -> Expr:
-        node = self.atom()
-        if self.peek().kind is TokenKind.CARET:
-            self.advance()
-            return Binary("^", node, self.unary())
-        return node
-
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind is TokenKind.INT:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is TokenKind.INT:
             try:
                 value = int(tok.lexeme)
             except ValueError:  # past the interpreter's digit limit
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
-            self.advance()
+            self.pos += 1
             return Literal(gnum(value))
-        if tok.kind is TokenKind.G:
-            self.advance()
+        if kind is TokenKind.G:
+            self.pos += 1
             return Literal(GROSSONE)
-        if tok.kind is TokenKind.LPAREN:
-            self.advance()
+        if kind is TokenKind.LPAREN:
+            self.pos += 1
             inner = self.expression()
             self.expect(TokenKind.RPAREN, "')'")
             return inner
-        if tok.kind is TokenKind.LBRACE:
-            self.advance()
+        if kind is TokenKind.LBRACE:
+            self.pos += 1
             return SetLit(self.items(TokenKind.RBRACE, "'}'"))
-        if tok.kind is TokenKind.IDENT:
-            self.advance()
-            if self.peek().kind is TokenKind.LPAREN:
-                self.advance()
+        if kind is TokenKind.IDENT:
+            self.pos += 1
+            if self.tokens[self.pos].kind is TokenKind.LPAREN:
+                self.pos += 1
                 return Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
             return Name(tok.lexeme)
         raise ParseError(tok.offset, "expression")
@@ -260,10 +259,10 @@ class Parser:
     def items(self, close: TokenKind, what: str) -> Tuple[Expr, ...]:
         """A comma-separated list of expressions up to and including ``close``."""
         items: List[Expr] = []
-        if self.peek().kind is not close:
+        if self.tokens[self.pos].kind is not close:
             items.append(self.expression())
-            while self.peek().kind is TokenKind.COMMA:
-                self.advance()
+            while self.tokens[self.pos].kind is TokenKind.COMMA:
+                self.pos += 1
                 items.append(self.expression())
         self.expect(close, what)
         return tuple(items)
@@ -480,6 +479,25 @@ _OPERATORS = {
 
 
 def eval_expr(expr: Expr) -> Value:
+    # One frame per tree level, dispatched on the exact class, the most
+    # frequent first; a node of any other class goes down the isinstance ladder.
+    cls = type(expr)
+    if cls is Literal:
+        return expr.value
+    if cls is Binary or isinstance(expr, Binary):
+        op = expr.op
+        lv = eval_expr(expr.left)
+        if op == "^":
+            return _eval_power(lv, eval_expr(expr.right))
+        if type(lv) is not GrossNumber:
+            lv = _number(op, 1, lv)
+        rv = eval_expr(expr.right)
+        if type(rv) is not GrossNumber:
+            rv = _number(op, 2, rv)
+        fn = _OPERATORS.get(op)
+        if fn is None:
+            raise UnknownIdentifier(f"unknown operator '{op}'")
+        return fn(lv, rv)
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Name):
@@ -488,15 +506,6 @@ def eval_expr(expr: Expr) -> Value:
         return tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items))
     if isinstance(expr, Unary):
         return -_number("-", 1, eval_expr(expr.operand))
-    if isinstance(expr, Binary) and expr.op == "^":
-        return _eval_power(eval_expr(expr.left), eval_expr(expr.right))
-    if isinstance(expr, Binary):
-        lv = _number(expr.op, 1, eval_expr(expr.left))
-        rv = _number(expr.op, 2, eval_expr(expr.right))
-        op = _OPERATORS.get(expr.op)
-        if op is None:
-            raise UnknownIdentifier(f"unknown operator '{expr.op}'")
-        return op(lv, rv)
     if isinstance(expr, Call):
         return _eval_call(expr)
     raise TypeError(f"not an expression: {expr!r}")

@@ -108,6 +108,8 @@ def _operator(fn):
     rational ``other``, ``NotImplemented`` for anything else."""
 
     def method(self, other):
+        if type(other) is GrossNumber:
+            return fn(self, other)
         if not isinstance(other, (GrossNumber, int, Fraction)):
             return NotImplemented
         return fn(self, gnum(other))
@@ -184,8 +186,8 @@ class GrossNumber:
     # -- ring structure -------------------------------------------------
 
     __add__ = __radd__ = _operator(_add)
-    __sub__ = _operator(lambda a, b: a + (-b))
-    __rsub__ = _operator(lambda a, b: (-a) + b)
+    __sub__ = _operator(lambda a, b: _add(a, -b))
+    __rsub__ = _operator(lambda a, b: _add(-a, b))
     __truediv__ = _operator(lambda a, b: div_exact(a, b))
     __rtruediv__ = _operator(lambda a, b: div_exact(b, a))
 
@@ -326,7 +328,7 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     """A rational as a gross-number; a gross-number is returned unchanged."""
     if isinstance(value, GrossNumber):
         return value
-    c = _rational(value)
+    c = value if type(value) is int else _rational(value)
     return GrossNumber((GrossTerm(c, 1, 0),) if c else ())
 
 
@@ -442,6 +444,8 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
 def _power(x: RationalLike, k: int) -> RationalLike:
     """``x ** k`` in canonical form, refused when a lower bound on its size
     (0 for x = ±1) passes ``MAX_POWER_BITS``."""
+    if x == 1:
+        return 1
     if (max(abs(x.numerator), x.denominator).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
         raise TooLarge(f"a power would need more than {MAX_POWER_BITS} bits")
     # A negative power of an int would be a float.
@@ -526,6 +530,8 @@ def _iroot_exact(k: int, n: int):
         return None if r is None else -r
     if k in (0, 1) or n == 1:
         return k
+    if n >= k.bit_length():  # a root r >= 2 needs 2**n <= r**n == k
+        return None
     x = 1 << ((k.bit_length() + n - 1) // n)
     while True:
         y = ((n - 1) * x + k // x ** (n - 1)) // n

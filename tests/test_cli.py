@@ -295,6 +295,31 @@ class TestOddRoots:
         assert run(capsys, "--json", "--eval", "(-8)^(1/3)") == (
             0, '{"type": "number", "value": "-2"}\n', "")
 
+    @pytest.mark.parametrize("line, degree", [
+        ("root(2, 10^18)", 10**18),
+        ("root(2, 1000000000000)", 10**12),
+        ("(2*G)^(1/10^18)", 10**18),
+        ("(2*G)^(1/100000000000)", 10**11),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_a_huge_degree_is_refused_without_building_a_power(self, capsys, flags, line, degree):
+        assert run(capsys, *flags, "--eval", line) == (3, "", f"error: 2 is not a perfect {degree}th power\n")
+
+
+class TestMixedChains:
+    """A chain stops at its first error, operands checked left to right."""
+
+    @pytest.mark.parametrize("line, err", [
+        ("1 + nat() + (1/0)", "error: +: argument 2: expected a number\n"),
+        ("(1/0) + nat()", "error: division by zero\n"),
+        ("1 - card(nat()) * x", "error: unknown identifier 'x'\n"),
+        ("2 + 3 - nat() ^ 2", "error: ^: argument 1: expected a number\n"),
+        ("G - {1,2}", "error: -: argument 2: expected a number\n"),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_the_first_error_is_reported(self, capsys, flags, line, err):
+        assert run(capsys, *flags, "--eval", line) == (3, "", err)
+
 
 class TestParadox:
     def test_hilbert_default(self, capsys):

@@ -16,7 +16,11 @@ from grossone.errors import (
 from grossone.exprlang import (
     GROSSONE_GLYPH,
     Binary,
+    Call,
     Literal,
+    Name,
+    SetLit,
+    Token,
     TokenKind,
     Unary,
     eval_expr,
@@ -27,7 +31,7 @@ from grossone.exprlang import (
     value_json,
 )
 from grossone import exprlang
-from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity
+from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity, gnum
 from grossone.paradoxes import ParadoxReport
 from grossone.series import RamanujanAudit
 from grossone.sets import EMPTY, AdjustedSet, EmptySet, GrossAP, RootCount
@@ -84,6 +88,18 @@ class TestTokenize:
         with pytest.raises(ParseError) as err:
             parse(tokenize("① +"))
         assert err.value.offset == 5
+        # A letter or a digit outside ASCII takes two.
+        for text in ("é + $", "٣ + $"):
+            with pytest.raises(LexError) as err:
+                tokenize(text)
+            assert err.value.offset == 5
+
+    def test_tokens_are_tokens(self):
+        tokens = tokenize("G + 1")
+        assert type(tokens) is list
+        assert all(type(t) is Token for t in tokens)
+        assert tokens[2] == Token(TokenKind.INT, "1", 4)
+        assert tokens[2]._asdict() == {"kind": TokenKind.INT, "lexeme": "1", "offset": 4}
 
     def test_big_integers(self):
         tok = tokenize(str(10**40))[0]
@@ -135,6 +151,17 @@ class TestParse:
     def test_unary_minus_below_power(self):
         assert evaluate("-2^2") == evaluate("-(2^2)")
         assert print_value(evaluate("-2^2")) == "-4"
+
+    @pytest.mark.parametrize("text, out", [
+        ("-G^2", "-G^2"),
+        ("2^3^2", "512"),
+        ("G^-1", "G^-1"),
+        ("-2^-1", "-1/2"),
+        ("4^-2^-1", "1/2"),
+        ("-G^-2^-1", "-G^(-1/2)"),
+    ])
+    def test_power_exponents_take_a_unary_minus(self, text, out):
+        assert print_value(evaluate(text)) == out
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -203,6 +230,80 @@ class TestEval:
 
     def test_set_literal_prints(self):
         assert print_value(evaluate("{3, 4, 5}")) == "{3,4,5}"
+
+
+_NODES = (Literal, Name, Unary, Binary, Call, SetLit)
+
+
+class TestDispatch:
+    """eval_expr dispatches on a node's exact class; an instance of a
+    subclass takes the isinstance ladder to the same result."""
+
+    # Each tree's root is a node of the named class.
+    TREES = {
+        "Literal": (lambda L, N, U, B, C, S: L(GROSSONE), "G"),
+        "Binary": (lambda L, N, U, B, C, S: B("-", L(GROSSONE), L(gnum(2))), "G - 2"),
+        "Binary ^": (lambda L, N, U, B, C, S: B("^", L(GROSSONE), U("-", L(gnum(1)))), "G^-1"),
+        "Binary <": (lambda L, N, U, B, C, S: B("<", L(gnum(1)), L(GROSSONE)), "true"),
+        "Unary": (lambda L, N, U, B, C, S: U("-", B("*", L(gnum(3)), L(GROSSONE))), "-3*G"),
+        "Call": (lambda L, N, U, B, C, S: C("card", (C("ap", (L(gnum(2)), L(gnum(4)))),)), "(1/4)*G"),
+        "SetLit": (lambda L, N, U, B, C, S: S((L(gnum(3)), U("-", L(gnum(1))))), "{3,-1}"),
+    }
+    SUBCLASSES = tuple(type(f"Sub{c.__name__}", (c,), {}) for c in _NODES)
+
+    @pytest.mark.parametrize("classes", [_NODES, SUBCLASSES], ids=["exact", "subclass"])
+    @pytest.mark.parametrize("root", TREES)
+    def test_every_node_class_evaluates(self, classes, root):
+        build, out = self.TREES[root]
+        tree = build(*classes)
+        assert type(tree).__name__.endswith(root.split()[0])
+        assert print_value(eval_expr(tree)) == out
+
+    @pytest.mark.parametrize("classes", [_NODES, SUBCLASSES], ids=["exact", "subclass"])
+    def test_a_name_is_an_unknown_identifier(self, classes):
+        with pytest.raises(UnknownIdentifier, match="^unknown identifier 'x'$"):
+            eval_expr(classes[1]("x"))
+
+    def test_a_literal_returns_its_own_value(self):
+        lit = Literal(gnum(7))
+        assert eval_expr(lit) is lit.value
+
+    def test_an_unknown_operator_is_refused_after_both_operands(self):
+        with pytest.raises(UnknownIdentifier, match="^unknown operator '%'$"):
+            eval_expr(Binary("%", Literal(gnum(1)), Literal(GROSSONE)))
+        with pytest.raises(EvalTypeError, match="argument 2"):
+            eval_expr(Binary("%", Literal(gnum(1)), SetLit(())))
+
+    def test_the_left_operand_is_checked_before_the_right_is_evaluated(self):
+        with pytest.raises(EvalTypeError, match="^\\+: argument 1: expected a number$"):
+            eval_expr(Binary("+", SetLit(()), Name("x")))
+        with pytest.raises(UnknownIdentifier, match="'y'"):
+            eval_expr(Binary("*", Literal(gnum(1)), Binary("+", Name("y"), SetLit(()))))
+
+    @pytest.mark.parametrize("thing", [1, "G", None, GROSSONE, (Literal(GROSSONE),)])
+    def test_a_non_node_is_a_type_error(self, thing):
+        with pytest.raises(TypeError, match="^not an expression: "):
+            eval_expr(thing)
+
+
+class TestRecursionHeadroom:
+    """A flat chain costs one evaluator frame per operand, so chains of 800
+    operands evaluate under pytest, also with ``python -X dev`` (as CI runs it)."""
+
+    N = 800
+
+    def test_a_long_sum_of_g(self):
+        assert print_value(evaluate(" + ".join(["G"] * self.N))) == f"{self.N}*G"
+
+    def test_a_long_alternating_chain(self):
+        # G + G - G + G - ... - G + G: 400 pluses and 399 minuses after the first G.
+        text = "G" + "".join(" + G" if i % 2 else " - G" for i in range(1, self.N))
+        assert print_value(evaluate(text)) == "2*G"
+        text = "1" + "".join(f" {'+-'[i % 2]} {i}*G^{i % 3}" for i in range(1, self.N))
+        expected = gnum(1)
+        for i in range(1, self.N):
+            expected = expected + (1 if i % 2 == 0 else -1) * i * GROSSONE ** (i % 3)
+        assert evaluate(text) == expected
 
 
 class TestValues:

@@ -457,6 +457,40 @@ class TestNthRoot:
             nth_root(gnum(5), n)
         assert str(info.value) == f"5 is not a perfect {ordinal} power"
 
+    # A root r >= 2 of k needs 2**n <= k, so a degree of at least k's bit
+    # length is refused at once; 2**(n - 1) would not fit in memory.
+    HUGE = 10**18
+
+    @pytest.mark.parametrize("a", [gnum(2), 3 * G, gnum(Fraction(-2, 3)), gnum(Fraction(1, 2)) * G**2])
+    def test_a_degree_past_the_coefficient_size_is_refused_at_once(self, a):
+        with pytest.raises(CoefficientNotPerfectPower, match=f"perfect {self.HUGE}th power"):
+            nth_root(a, self.HUGE)
+        with pytest.raises(CoefficientNotPerfectPower, match=f"perfect {self.HUGE}th power"):
+            a ** Fraction(1, self.HUGE)
+
+    def test_a_huge_degree_of_a_unit_coefficient_is_exact(self):
+        assert nth_root(G, self.HUGE).terms == ((1, 1, Fraction(1, self.HUGE)),)
+        assert nth_root(gnum(-1), self.HUGE + 1) == -1
+        assert nth_root(gnum(1), self.HUGE) == 1
+
+    @pytest.mark.parametrize("root", [2, 3, 5, -2, -3])
+    def test_roots_just_inside_the_bound_are_still_found(self, root):
+        # k = root**n has bit length n*log2|root| + 1 > n, so the bound lets it through.
+        for n in (1, 2, 3, 7, 63, 64, 65) if root > 0 else (1, 3, 7, 63, 65):
+            assert nth_root(gnum(root**n), n) == root
+            assert nth_root(gnum(Fraction(root**n, 3**n)), n) == gnum(Fraction(root, 3))
+
+    def test_the_bound_agrees_with_brute_force(self):
+        for k in range(2, 1100):
+            for n in range(2, 13):
+                r = round(k ** (1 / n))
+                exact = next((c for c in (r - 1, r, r + 1) if c**n == k), None)
+                if exact is None:
+                    with pytest.raises(CoefficientNotPerfectPower):
+                        nth_root(gnum(k), n)
+                else:
+                    assert nth_root(gnum(k), n) == exact
+
 
 class TestEvalAt:
     def test_substitution(self):
