@@ -479,12 +479,10 @@ _OPERATORS = {
 
 
 def eval_expr(expr: Expr) -> Value:
-    # One frame per tree level, dispatched on the exact class, the most
-    # frequent first; a node of any other class goes down the isinstance ladder.
-    cls = type(expr)
-    if cls is Literal:
+    # One frame per tree level; the most frequent node classes are tested first.
+    if isinstance(expr, Literal):
         return expr.value
-    if cls is Binary or isinstance(expr, Binary):
+    if isinstance(expr, Binary):
         op = expr.op
         lv = eval_expr(expr.left)
         if op == "^":
@@ -498,8 +496,6 @@ def eval_expr(expr: Expr) -> Value:
         if fn is None:
             raise UnknownIdentifier(f"unknown operator '{op}'")
         return fn(lv, rv)
-    if isinstance(expr, Literal):
-        return expr.value
     if isinstance(expr, Name):
         raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
     if isinstance(expr, SetLit):
