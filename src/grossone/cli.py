@@ -149,8 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_expression_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_expression_values(argv))
     if args.command == "paradox":
+        if args.expr is not None or args.script is not None:
+            parser.error("paradox: not allowed with argument --eval or --script")
         return run_paradox(args.name, args, args.json)
     if args.expr is not None:
         return _run_line(args.expr, args.json)

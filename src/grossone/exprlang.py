@@ -1,13 +1,18 @@
 """Expression language over the whole library, with ``G`` as the infinite unit.
 
-Grammar (loosest binding first)::
+Grammar::
 
-    expression := additive (("<" | "<=" | "=" | ">=" | ">") additive)?
-    additive   := multiplicative (("+" | "-") multiplicative)*
-    multiplicative := unary (("*" | "/") unary)*
-    unary      := "-" unary | atom ("^" unary)?   -- right-associative
-    atom       := INT | "G" | ident "(" args ")" | ident
+    expression := operand (binary-operator operand)*
+    operand    := "-" operand
+                | primary ("^" operand)?    -- right-associative
+    primary    := INT | "G" | ident "(" args ")" | ident
                 | "(" expression ")" | "{" int-elements "}"
+
+Binding, loosest first: the comparisons ``< <= = >= >``, then ``+ -``, then
+``* /`` (left-associative), then unary minus, then ``^``.  Comparisons do not
+chain: ``1 < 2 < 3`` is a parse error, ``(1 < 2) < 3`` parses.  Every binary
+operator but ``^`` is one entry of :data:`BINARY_OPERATORS`, its level and its
+function, which the parser's one precedence-climbing loop and eval_expr read.
 
 The glyph for the infinite unit used in print is accepted as a synonym for
 ``G`` on input.  ``^`` routes by the value of its operands: an integer
@@ -161,6 +166,28 @@ class SetLit:
 Expr = Union[Literal, Name, Unary, Binary, Call, SetLit]
 
 
+class BinaryOperator(NamedTuple):
+    level: int  # binding level: a higher level binds tighter
+    apply: Callable  # the value of ``left op right`` from the operands' values
+
+
+COMPARISON, SUM, PRODUCT = 1, 2, 3
+
+# The one place a binary operator other than ``^`` is defined: the parser reads
+# its level, eval_expr its function (a number, or a bool for a comparison).
+BINARY_OPERATORS = {
+    "<": BinaryOperator(COMPARISON, operator.lt),
+    "<=": BinaryOperator(COMPARISON, operator.le),
+    "=": BinaryOperator(COMPARISON, operator.eq),
+    ">=": BinaryOperator(COMPARISON, operator.ge),
+    ">": BinaryOperator(COMPARISON, operator.gt),
+    "+": BinaryOperator(SUM, operator.add),
+    "-": BinaryOperator(SUM, operator.sub),
+    "*": BinaryOperator(PRODUCT, operator.mul),
+    "/": BinaryOperator(PRODUCT, operator.truediv),
+}
+
+
 class Parser:
     # Reads self.tokens[self.pos] directly: a method call per token was a
     # large share of the time spent parsing.
@@ -182,79 +209,59 @@ class Parser:
             raise ParseError(tok.offset, "end of input")
         return expr
 
-    def expression(self) -> Expr:
-        left = self.additive()
+    def expression(self, least: int = COMPARISON) -> Expr:
+        """Operands joined left to right by the binary operators of level
+        ``least`` or tighter; a comparison ends it, so comparisons do not chain."""
+        node = self.operand()
         tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.CMP:
+        op = BINARY_OPERATORS.get(tok.lexeme)
+        while op is not None and op.level >= least:
             self.pos += 1
-            return Binary(tok.lexeme, left, self.additive())
-        return left
-
-    def additive(self) -> Expr:
-        node = self.multiplicative()
-        tok = self.tokens[self.pos]
-        while tok.kind is TokenKind.PLUS or tok.kind is TokenKind.MINUS:
-            self.pos += 1
-            node = Binary(tok.lexeme, node, self.multiplicative())
+            node = Binary(tok.lexeme, node, self.expression(op.level + 1))
+            if op.level == COMPARISON:
+                break
             tok = self.tokens[self.pos]
+            op = BINARY_OPERATORS.get(tok.lexeme)
         return node
 
-    def multiplicative(self) -> Expr:
-        node = self.unary()
-        tok = self.tokens[self.pos]
-        while tok.kind is TokenKind.STAR or tok.kind is TokenKind.SLASH:
-            self.pos += 1
-            node = Binary(tok.lexeme, node, self.unary())
-            tok = self.tokens[self.pos]
-        return node
-
-    def unary(self) -> Expr:
-        # Each level of nesting parses its operand through one more unary:
-        # a unary minus, and an unfinished ``^`` exponent (right-associative).
+    def operand(self) -> Expr:
+        # Each call is one level of nesting: a unary minus, an unfinished ``^``
+        # exponent (right-associative), a bracket, a brace or a call.
         tok = self.tokens[self.pos]
         if self.depth > MAX_NESTING:
             raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting")
         self.depth += 1
-        if tok.kind is TokenKind.MINUS:
-            self.pos += 1
-            node = Unary("-", self.unary())
-        else:
-            node = self.atom()
-            if self.tokens[self.pos].kind is TokenKind.CARET:
-                self.pos += 1
-                node = Binary("^", node, self.unary())
-        self.depth -= 1
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.tokens[self.pos]
+        self.pos += 1
         kind = tok.kind
-        if kind is TokenKind.INT:
+        if kind is TokenKind.MINUS:
+            node = Unary("-", self.operand())
+        elif kind is TokenKind.INT:
             try:
                 value = int(tok.lexeme)
             except ValueError:  # past the interpreter's digit limit
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
-            self.pos += 1
-            return Literal(gnum(value))
-        if kind is TokenKind.G:
-            self.pos += 1
-            return Literal(GROSSONE)
-        if kind is TokenKind.LPAREN:
-            self.pos += 1
-            inner = self.expression()
+            node = Literal(gnum(value))
+        elif kind is TokenKind.G:
+            node = Literal(GROSSONE)
+        elif kind is TokenKind.LPAREN:
+            node = self.expression()
             self.expect(TokenKind.RPAREN, "')'")
-            return inner
-        if kind is TokenKind.LBRACE:
+        elif kind is TokenKind.LBRACE:
+            node = SetLit(self.items(TokenKind.RBRACE, "'}'"))
+        elif kind is TokenKind.IDENT and self.tokens[self.pos].kind is TokenKind.LPAREN:
             self.pos += 1
-            return SetLit(self.items(TokenKind.RBRACE, "'}'"))
-        if kind is TokenKind.IDENT:
+            node = Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
+        elif kind is TokenKind.IDENT:
+            node = Name(tok.lexeme)
+        else:
+            raise ParseError(tok.offset, "expression")
+        # After a minus no ``^`` is left: the operand took it, so -x^y is -(x^y).
+        if self.tokens[self.pos].kind is TokenKind.CARET:
             self.pos += 1
-            if self.tokens[self.pos].kind is TokenKind.LPAREN:
-                self.pos += 1
-                return Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
-            return Name(tok.lexeme)
-        raise ParseError(tok.offset, "expression")
+            node = Binary("^", node, self.operand())
+        self.depth -= 1
+        return node
 
     def items(self, close: TokenKind, what: str) -> Tuple[Expr, ...]:
         """A comma-separated list of expressions up to and including ``close``."""
@@ -464,20 +471,6 @@ def _eval_power(left: Value, right: Value) -> GrossNumber:
     return exp_gross(left.as_rational(), rv)
 
 
-# The arithmetic operators give a number, the comparisons a bool.
-_OPERATORS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "<": operator.lt,
-    "<=": operator.le,
-    "=": operator.eq,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
-
-
 def eval_expr(expr: Expr) -> Value:
     # One frame per tree level; the most frequent node classes are tested first.
     if isinstance(expr, Literal):
@@ -492,10 +485,10 @@ def eval_expr(expr: Expr) -> Value:
         rv = eval_expr(expr.right)
         if type(rv) is not GrossNumber:
             rv = _number(op, 2, rv)
-        fn = _OPERATORS.get(op)
-        if fn is None:
+        spec = BINARY_OPERATORS.get(op)
+        if spec is None:
             raise UnknownIdentifier(f"unknown operator '{op}'")
-        return fn(lv, rv)
+        return spec.apply(lv, rv)
     if isinstance(expr, Name):
         raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
     if isinstance(expr, SetLit):

@@ -165,10 +165,8 @@ def member(s: SetLike, x) -> bool:
         return False
     if value > last_element(s):
         return False
-    if not offset.is_gross_integer():
-        return False
-    _, r = floor_div_mod(offset, s.step)
-    return r == 0
+    # Every non-constant term of a gross-integer is divisible by the finite step.
+    return offset.is_gross_integer() and int(offset.constant_coeff()) % s.step == 0
 
 
 # -- combinators --------------------------------------------------------------

@@ -347,6 +347,20 @@ class TestParadox:
         code, _, _ = run(capsys, "paradox", "torricelli", "--h", "G")
         assert code == 3
 
+    @pytest.mark.parametrize("mode, value, name", [
+        ("--eval", "1/0", "galileo"),
+        ("--script", None, "hilbert"),
+    ])
+    def test_a_mode_with_paradox_is_a_usage_error(self, tmp_path, capsys, mode, value, name):
+        # The mode would be dropped silently; the script need not exist.
+        value = value or str(tmp_path / "missing.g")
+        with pytest.raises(SystemExit) as exit_:
+            main([mode, value, "paradox", name])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "paradox: not allowed with argument --eval or --script" in captured.err
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "--json", "paradox", "galileo")
         assert code == 0

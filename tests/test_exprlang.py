@@ -1,5 +1,6 @@
 """Lexer, parser, evaluator and printer for the expression language."""
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -162,6 +163,23 @@ class TestParse:
     ])
     def test_power_exponents_take_a_unary_minus(self, text, out):
         assert print_value(evaluate(text)) == out
+
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("1 < 2 < 3", 6, "end of input"),
+        ("(1 < 2 < 3)", 7, "')'"),
+        ("tri(1 < 2 < 3)", 10, "')'"),
+        ("{1 < 2 < 3}", 7, "'}'"),
+        ("1 + 2 < 3 = 4", 10, "end of input"),
+    ])
+    def test_comparisons_do_not_chain(self, text, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse(tokenize(text))
+        assert (err.value.offset, err.value.expected) == (offset, expected)
+
+    def test_a_bracketed_comparison_is_an_operand(self):
+        expr = parse(tokenize("(1 < 2) < 3"))
+        assert expr.op == "<" and expr.left.op == "<"
+        assert isinstance(expr.right, Literal)
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -367,11 +385,14 @@ class TestRoundTrip:
 
 # --- precedence oracle -------------------------------------------------------
 #
-# Random expression trees over plain rationals are rendered with minimal
-# parentheses, reparsed, and compared against an independent Fraction
-# evaluator.
+# Random expression trees over plain rationals, some under one comparison, are
+# rendered with minimal parentheses and reparsed.  The parse must give back the
+# same tree, and its value must match an independent Fraction evaluator.
 
-_PREC = {"cmp": 1, "+": 2, "-": 2, "*": 3, "/": 3, "neg": 4, "^": 5, "atom": 6}
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+                ">=": operator.ge, ">": operator.gt}
+_PREC = {**dict.fromkeys(_COMPARISONS, 1), "+": 2, "-": 2, "*": 3, "/": 3,
+         "neg": 4, "^": 5, "atom": 6}
 
 
 def render(expr, parent: int = 0) -> str:
@@ -389,12 +410,26 @@ def render(expr, parent: int = 0) -> str:
     return f"({text})" if prec < parent else text
 
 
-def ref_eval(expr) -> Fraction:
+def shape(expr):
+    """The tree as nested tuples, with each literal as its rational."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return value if isinstance(value, Fraction) else value.as_rational()
+    if isinstance(expr, Unary):
+        return (expr.op, shape(expr.operand))
+    if isinstance(expr, Binary):
+        return (expr.op, shape(expr.left), shape(expr.right))
+    raise TypeError(expr)
+
+
+def ref_eval(expr):
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Unary):
         return -ref_eval(expr.operand)
     left, right = ref_eval(expr.left), ref_eval(expr.right)
+    if expr.op in _COMPARISONS:
+        return _COMPARISONS[expr.op](left, right)
     if expr.op == "+":
         return left + right
     if expr.op == "-":
@@ -424,16 +459,25 @@ def rational_trees(depth: int):
     return st.recursive(leaf, extend, max_leaves=depth)
 
 
-@given(rational_trees(20))
+def comparison_trees(depth: int):
+    sides = rational_trees(depth)
+    return st.builds(Binary, st.sampled_from(sorted(_COMPARISONS)), sides, sides)
+
+
+@given(st.one_of(rational_trees(20), comparison_trees(10)))
 def test_precedence_matches_reference(tree):
+    text = render(tree)
+    assert shape(parse(tokenize(text))) == shape(tree)
     try:
         expected = ref_eval(tree)
     except ZeroDivisionError:
         return
-    text = render(tree)
     value = evaluate(text)
-    assert isinstance(value, GrossNumber)
-    assert value.as_rational() == expected
+    if isinstance(expected, bool):
+        assert value is expected
+    else:
+        assert isinstance(value, GrossNumber)
+        assert value.as_rational() == expected
 
 
 @given(st.text(max_size=40))
