@@ -347,15 +347,14 @@ class TestParadox:
         code, _, _ = run(capsys, "paradox", "torricelli", "--h", "G")
         assert code == 3
 
-    @pytest.mark.parametrize("mode, value, name", [
-        ("--eval", "1/0", "galileo"),
-        ("--script", None, "hilbert"),
+    @pytest.mark.parametrize("argv", [
+        ["--eval", "1/0", "paradox", "galileo"],
+        ["--script", "missing.g", "paradox", "hilbert"],
     ])
-    def test_a_mode_with_paradox_is_a_usage_error(self, tmp_path, capsys, mode, value, name):
-        # The mode would be dropped silently; the script need not exist.
-        value = value or str(tmp_path / "missing.g")
+    def test_a_mode_with_paradox_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where missing.g does not exist
         with pytest.raises(SystemExit) as exit_:
-            main([mode, value, "paradox", name])
+            main(argv)
         assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
