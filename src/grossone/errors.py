@@ -4,6 +4,8 @@ All library errors derive from :class:`GrossoneError` so callers (the CLI in
 particular) can map failures to exit codes without enumerating each subtype.
 """
 
+import sys
+
 
 class GrossoneError(Exception):
     """Base class for all errors raised by this package."""
@@ -70,6 +72,10 @@ class BaseRootUnsupported(GrossoneError):
 class TooManyDigits(GrossoneError):
     """A number has an integer with more decimal digits than Python converts
     to a string (``sys.get_int_max_str_digits()``), so it cannot be printed."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"cannot print a number with more than {limit} digits")
 
 
 class TooLarge(GrossoneError):

@@ -43,8 +43,10 @@ from .gnum import (
     NumberClass,
     Parity,
     exp_gross,
+    format_int,
     gnum,
     nth_root,
+    pow_int,
 )
 from .paradoxes import LampState, ParadoxReport
 from .series import RamanujanAudit
@@ -217,7 +219,9 @@ class Parser:
         op = BINARY_OPERATORS.get(tok.lexeme)
         while op is not None and op.level >= least:
             self.pos += 1
-            node = Binary(tok.lexeme, node, self.expression(op.level + 1))
+            # No binary operator binds tighter than * and /: their right side is one operand.
+            right = self.operand() if op.level == PRODUCT else self.expression(op.level + 1)
+            node = Binary(tok.lexeme, node, right)
             if op.level == COMPARISON:
                 break
             tok = self.tokens[self.pos]
@@ -298,6 +302,14 @@ def _field(render: Callable) -> Callable:
 
 _enum_value = operator.attrgetter("value")
 
+
+def _int_list(xs: Tuple[int, ...]) -> List[int]:
+    # json.dumps would end in a bare ValueError on an int past the digit limit.
+    for x in xs:
+        format_int(x)
+    return list(xs)
+
+
 # Value class: (JSON "type", text of the value, JSON fields of the value).
 _OUTPUT = {
     GrossNumber: ("number", str, _field(str)),
@@ -308,7 +320,7 @@ _OUTPUT = {
     RootCount: ("count", str, _field(str)),
     ParadoxReport: ("report", str, ParadoxReport.to_json),
     RamanujanAudit: ("audit", str, RamanujanAudit.to_json),
-    tuple: ("intset", lambda xs: "{" + ",".join(str(x) for x in xs) + "}", _field(list)),
+    tuple: ("intset", lambda xs: "{" + ",".join(map(format_int, xs)) + "}", _field(_int_list)),
 }
 
 
@@ -463,7 +475,10 @@ _RATIONAL_CLASSES = (NumberClass.FINITE_PURE, NumberClass.ZERO)  # of a plain ra
 def _eval_power(left: Value, right: Value) -> GrossNumber:
     rv = _number("^", 2, right)
     if rv.classify() in _RATIONAL_CLASSES:
-        return _number("^", 1, left) ** rv.as_rational()
+        r = rv.as_rational()
+        lv = _number("^", 1, left)
+        # An integral exponent goes to pow_int directly; any other is a root.
+        return pow_int(lv, r) if type(r) is int else lv ** r
     # Exponent involves G: the base must be a plain nonnegative rational.
     if not (isinstance(left, GrossNumber) and left.classify() in _RATIONAL_CLASSES
             and left.sign() >= 0):
@@ -472,17 +487,18 @@ def _eval_power(left: Value, right: Value) -> GrossNumber:
 
 
 def eval_expr(expr: Expr) -> Value:
-    # One frame per tree level; the most frequent node classes are tested first.
+    # One frame per tree level above the leaves: a Literal child's value is
+    # read in place.  The most frequent node classes are tested first.
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Binary):
-        op = expr.op
-        lv = eval_expr(expr.left)
+        op, left, right = expr.op, expr.left, expr.right
+        lv = left.value if type(left) is Literal else eval_expr(left)
         if op == "^":
-            return _eval_power(lv, eval_expr(expr.right))
+            return _eval_power(lv, right.value if type(right) is Literal else eval_expr(right))
         if type(lv) is not GrossNumber:
             lv = _number(op, 1, lv)
-        rv = eval_expr(expr.right)
+        rv = right.value if type(right) is Literal else eval_expr(right)
         if type(rv) is not GrossNumber:
             rv = _number(op, 2, rv)
         spec = BINARY_OPERATORS.get(op)
@@ -494,7 +510,8 @@ def eval_expr(expr: Expr) -> Value:
     if isinstance(expr, SetLit):
         return tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items))
     if isinstance(expr, Unary):
-        return -_number("-", 1, eval_expr(expr.operand))
+        operand = expr.operand
+        return -_number("-", 1, operand.value if type(operand) is Literal else eval_expr(operand))
     if isinstance(expr, Call):
         return _eval_call(expr)
     raise TypeError(f"not an expression: {expr!r}")

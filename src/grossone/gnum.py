@@ -16,7 +16,6 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -41,6 +40,10 @@ from .errors import (
 RationalLike = Union[int, Fraction]
 
 _FINITE_KEY = (1, 0)
+
+# Builds a GrossTerm as ``_new(GrossTerm, (c, b, p))`` without the Python-level
+# ``__new__`` frame of a NamedTuple; only for fields already in canonical form.
+_new = tuple.__new__
 
 #: The most bits ``pow_int`` (of a single term), ``exp_gross`` and
 #: ``eval_at`` let one power of a rational need; a larger power is refused
@@ -117,18 +120,19 @@ def _operator(fn):
     return method
 
 
-def _add(a: "GrossNumber", b: "GrossNumber") -> "GrossNumber":
-    """``a + b`` by one merge of the two canonical term tuples.
+def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNumber":
+    """``a + b``, or ``a - b``, by one merge of the two canonical term tuples.
 
     Both tuples descend by ``(base, gpow)``, so the sum is column addition:
-    an unmatched term is kept as it is, and the coefficients of equal keys
-    are added, with the term dropped when they cancel.
+    an unmatched term is kept as it is (negated when it is taken from ``b``
+    of a difference), and the coefficients of equal keys are added or
+    subtracted, with the term dropped when they cancel.
     """
     x, y = a.terms, b.terms
     if not y:
         return a
     if not x:
-        return b
+        return -b if subtract else b
     out = []
     n, m = len(x), len(y)
     i = j = 0
@@ -137,9 +141,9 @@ def _add(a: "GrossNumber", b: "GrossNumber") -> "GrossNumber":
         # Fields by index: (coeff, base, gpow).
         if s[1] == t[1]:
             if s[2] == t[2]:
-                c = s[0] + t[0]
+                c = s[0] - t[0] if subtract else s[0] + t[0]
                 if c:
-                    out.append(GrossTerm(c if type(c) is int else _q(c), s[1], s[2]))
+                    out.append(_new(GrossTerm, (c if type(c) is int else _q(c), s[1], s[2])))
                 i += 1
                 j += 1
                 if i == n or j == m:
@@ -156,13 +160,13 @@ def _add(a: "GrossNumber", b: "GrossNumber") -> "GrossNumber":
                 break
             s = x[i]
         else:
-            out.append(t)
+            out.append(_new(GrossTerm, (-t[0], t[1], t[2])) if subtract else t)
             j += 1
             if j == m:
                 break
             t = y[j]
     out += x[i:]
-    out += y[j:]
+    out += [_new(GrossTerm, (-t[0], t[1], t[2])) for t in y[j:]] if subtract else y[j:]
     return GrossNumber(tuple(out))
 
 
@@ -186,21 +190,25 @@ class GrossNumber:
     # -- ring structure -------------------------------------------------
 
     __add__ = __radd__ = _operator(_add)
-    __sub__ = _operator(lambda a, b: _add(a, -b))
-    __rsub__ = _operator(lambda a, b: _add(-a, b))
+    __sub__ = _operator(lambda a, b: _add(a, b, True))
+    __rsub__ = _operator(lambda a, b: _add(b, a, True))
     __truediv__ = _operator(lambda a, b: div_exact(a, b))
     __rtruediv__ = _operator(lambda a, b: div_exact(b, a))
 
     @_operator
     def __mul__(self, other):
-        return normalize(
-            (ca * cb, ba * bb, pa + pb) for ca, ba, pa in self.terms for cb, bb, pb in other.terms
-        )
+        x, y = self.terms, other.terms
+        if len(x) == 1 == len(y):
+            # A product of nonzero coefficients is nonzero and a product of
+            # positive bases is positive: one canonical term, with no merge.
+            (ca, ba, pa), (cb, bb, pb) = x[0], y[0]
+            return GrossNumber((_new(GrossTerm, (_q(ca * cb), _q(ba * bb), _q(pa + pb))),))
+        return normalize((ca * cb, ba * bb, pa + pb) for ca, ba, pa in x for cb, bb, pb in y)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GrossNumber":
-        return GrossNumber(tuple(GrossTerm(-t.coeff, t.base, t.gpow) for t in self.terms))
+        return GrossNumber(tuple([_new(GrossTerm, (-c, b, p)) for c, b, p in self.terms]))
 
     def __pow__(self, k):
         # p/q as the language's ^ takes it: an exact power, then a q-th root.
@@ -302,7 +310,7 @@ class GrossNumber:
         total = 0
         for c, b, p in self.terms:
             if type(p) is not int:
-                raise FractionalGrossPower(f"G^({p}) cannot be evaluated")
+                raise FractionalGrossPower(f"G^({gnum(p)}) cannot be evaluated")
             # Each power is refused with TooLarge before it is built.
             v = c * _power(b, t)
             # For p < 0 one Fraction division costs less than Fraction(t) ** p.
@@ -329,7 +337,7 @@ def gnum(value: Union[RationalLike, GrossNumber]) -> GrossNumber:
     if isinstance(value, GrossNumber):
         return value
     c = value if type(value) is int else _rational(value)
-    return GrossNumber((GrossTerm(c, 1, 0),) if c else ())
+    return GrossNumber((_new(GrossTerm, (c, 1, 0)),) if c else ())
 
 
 def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) -> GrossNumber:
@@ -359,8 +367,8 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
         lp = lcm(*(k[3] for k in merged))
         entries = [merged[k] for k in sorted(
             merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
-    return GrossNumber(tuple(
-        GrossTerm(c if type(c) is int else _q(c), b, p) for c, b, p in entries if c))
+    return GrossNumber(tuple([
+        _new(GrossTerm, (c if type(c) is int else _q(c), b, p)) for c, b, p in entries if c]))
 
 
 def compare(a: GrossNumber, b) -> int:
@@ -391,7 +399,7 @@ eval_at = GrossNumber.eval_at
 # -- division -----------------------------------------------------------------
 
 def _divide_term(a: GrossTerm, b: GrossTerm) -> GrossTerm:
-    return GrossTerm(_div(a.coeff, b.coeff), _div(a.base, b.base), _q(a.gpow - b.gpow))
+    return _new(GrossTerm, (_div(a[0], b[0]), _div(a[1], b[1]), _q(a[2] - b[2])))
 
 
 def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
@@ -434,8 +442,8 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         # and scaling by t (a positive base) keeps the key order of b's tail,
         # so -(t * tail) is canonical as built.
         c, B, p = t
-        rest = GrossNumber(rest.terms[1:]) + GrossNumber(tuple(
-            GrossTerm(_q(-c * cb), _q(B * bb), _q(p + pb)) for cb, bb, pb in tail))
+        rest = GrossNumber(rest.terms[1:]) + GrossNumber(tuple([
+            _new(GrossTerm, (_q(-c * cb), _q(B * bb), _q(p + pb))) for cb, bb, pb in tail]))
     # The lead key of ``rest`` falls at every step, so the quotient terms
     # are already distinct, descending and nonzero.
     return GrossNumber(tuple(quotient))
@@ -463,10 +471,10 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
             raise DivisionByZero("zero has no negative powers")
         return ZERO
     if len(a.terms) == 1:
-        t = a.terms[0]
-        return GrossNumber((GrossTerm(_power(t.coeff, k), _power(t.base, k), _q(t.gpow * k)),))
+        c, b, p = a.terms[0]
+        return GrossNumber((_new(GrossTerm, (_power(c, k), _power(b, k), _q(p * k))),))
     if k < 0:
-        raise NegativePowerOfSum(f"({a})^{k}: negative powers need a single term")
+        raise NegativePowerOfSum(f"({a})^{format_int(k)}: negative powers need a single term")
     result = ONE
     square = a
     while k:
@@ -559,11 +567,11 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     if n == 1:
         return a
     if t.base != 1:
-        raise BaseRootUnsupported(f"cannot take a root of the factor {t.base}^G")
+        raise BaseRootUnsupported(f"cannot take a root of the factor {gnum(t.base)}^G")
     num = _iroot_exact(t.coeff.numerator, n)
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
-        raise CoefficientNotPerfectPower(f"{t.coeff} is not a perfect {_ordinal(n)} power")
+        raise CoefficientNotPerfectPower(f"{gnum(t.coeff)} is not a perfect {_ordinal(n)} power")
     return GrossNumber((GrossTerm(_div(num, den), 1, _div(t.gpow, n)),))
 
 
@@ -603,6 +611,15 @@ def format_number(a: GrossNumber) -> str:
             out += " - " if t.coeff < 0 else " + "
             out += _term_str(t)
     except ValueError:  # str() of an int past the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise TooManyDigits(f"cannot print a number with more than {limit} digits") from None
+        raise TooManyDigits() from None
     return out
+
+
+def format_int(n: int) -> str:
+    """``str(n)`` of a plain int, or :class:`TooManyDigits` past the
+    interpreter's int-to-string digit limit.  Sets, int sets and the error
+    messages that name a value from the input print their ints with it."""
+    try:
+        return str(n)
+    except ValueError:
+        raise TooManyDigits() from None

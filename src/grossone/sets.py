@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     ResidueOutOfRange,
 )
-from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
+from .gnum import G, GrossNumber, floor_div_mod, format_int, gnum, nth_root, pow_int
 
 
 class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
@@ -43,7 +43,7 @@ class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
-        return f"AP(first={self.first}, step={self.step}, count={self.count})"
+        return f"AP(first={self.first}, step={format_int(self.step)}, count={self.count})"
 
 
 class AdjustedSet(NamedTuple):
@@ -56,9 +56,9 @@ class AdjustedSet(NamedTuple):
     def __str__(self) -> str:
         out = str(self.base)
         if self.added:
-            out += " + {" + ",".join(str(x) for x in self.added) + "}"
+            out += " + {" + ",".join(map(format_int, self.added)) + "}"
         if self.removed:
-            out += " - {" + ",".join(str(x) for x in self.removed) + "}"
+            out += " - {" + ",".join(map(format_int, self.removed)) + "}"
         return out
 
 
@@ -103,7 +103,7 @@ class RootCount(NamedTuple):
 def ap_nat(k: int, n: int) -> GrossAP:
     """The k-th residue class mod n of the naturals; it has G/n elements."""
     if not 1 <= k <= n:
-        raise ResidueOutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ResidueOutOfRange(f"need 1 <= k <= n, got k={format_int(k)}, n={format_int(n)}")
     return GrossAP(k, n, G / n)
 
 
@@ -215,9 +215,9 @@ def _adjust(s: Union[GrossAP, AdjustedSet], elems, adding: bool) -> AdjustedSet:
     for x in sorted(set(int(e) for e in elems)):
         present = member(adj, x)
         if adding and present:
-            raise ElementAlreadyPresent(f"{x} is already in the set")
+            raise ElementAlreadyPresent(f"{format_int(x)} is already in the set")
         if not adding and not present:
-            raise ElementNotPresent(f"{x} is not in the set")
+            raise ElementNotPresent(f"{format_int(x)} is not in the set")
         if x in undo:
             undo.discard(x)
         else:

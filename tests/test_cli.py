@@ -174,6 +174,17 @@ class TestDigitLimit:
         assert (code, out) == (3, "")
         assert err == f"error: cannot print a number with more than {self.LIMIT} digits\n"
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize("line", [
+        "{BIG}", "ap(BIG, 3)", "addf(nat(), {BIG})", "remf(nat(), {BIG})", "ap(1, BIG)",
+        "root(BIG + 1, 2)", "root((BIG)^G, 2)", "(G+1)^(-(BIG))", "evalat(G^(1/BIG), 2)",
+    ])
+    def test_a_set_or_a_message_naming_such_an_int_is_an_eval_error(self, capsys, flags, line):
+        # A set prints its plain ints, and these messages name one.
+        code, out, err = run(capsys, *flags, "--eval", line.replace("BIG", f"10^{self.LIMIT + 700}"))
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot print a number with more than {self.LIMIT} digits\n"
+
     def test_a_script_stops_at_an_error_naming_such_a_number(self, tmp_path, capsys):
         script = tmp_path / "div.g"
         script.write_text(f"G+1\n(10^{self.LIMIT + 700}*G+1)/(G-1)\nG\n")

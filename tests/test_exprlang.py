@@ -1,5 +1,6 @@
 """Lexer, parser, evaluator and printer for the expression language."""
 
+import itertools
 import operator
 import random
 import sys
@@ -478,6 +479,44 @@ def test_precedence_matches_reference(tree):
     else:
         assert isinstance(value, GrossNumber)
         assert value.as_rational() == expected
+
+
+def _chains():
+    """Every unbracketed chain of three or four literals 2 and 3 over
+    ``+ - * / ^``, with no comparison or with one in any slot: 8600 texts."""
+    arithmetic, comparisons = ["+", "-", "*", "/", "^"], sorted(_COMPARISONS)
+    for n in (3, 4):
+        for ops in itertools.product(arithmetic + comparisons, repeat=n - 1):
+            if sum(op in _COMPARISONS for op in ops) > 1:
+                continue
+            for literals in itertools.product("23", repeat=n):
+                yield literals, ops
+
+
+def test_every_short_chain_matches_python_precedence():
+    """Python's own grammar is the reference: its ``**`` binds tighter than
+    ``* /``, which bind tighter than ``+ -``, and ``**`` is right-associative,
+    as ``^`` is here; a lone comparison binds loosest in both."""
+    checked = 0
+    for literals, ops in _chains():
+        text = literals[0] + "".join(f" {op} {x}" for op, x in zip(ops, literals[1:]))
+        # Right to left, a run of ^ must stay small enough to compute.
+        exponent = 1
+        for op, x in zip(reversed(ops), reversed(literals[1:])):
+            exponent = int(x) ** exponent if op == "^" else 1
+            if exponent > 64:
+                break
+        else:
+            python = "".join(f"Fraction({x})" if x in "23" else {"^": "**", "=": "=="}.get(x, x)
+                             for x in text.split())
+            expected = eval(python)  # built above from digits and operators only
+            value = evaluate(text)
+            if isinstance(expected, bool):
+                assert value is expected, text
+            else:
+                assert value.as_rational() == expected, text
+            checked += 1
+    assert checked > 8500
 
 
 @given(st.text(max_size=40))

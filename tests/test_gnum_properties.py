@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grossone import (
@@ -182,6 +183,48 @@ def test_add_and_sub_merge_as_normalize_sums(seed, fractional):
     b = draw() + normalize(term(rng.choice([-1, 1]) * t.coeff, t.base, t.gpow) for t in shared)
     assert (a + b).terms == normalize(a.terms + b.terms).terms
     assert (a - b).terms == normalize(a.terms + (-b).terms).terms
+    # ``-`` merges once, negating only the terms it takes from b; the field
+    # types (shown by repr) are those of a + (-b).
+    difference = repr((a + (-b)).terms)
+    assert repr((a - b).terms) == repr(b.__rsub__(a).terms) == difference
+    assert a - ZERO is a and (a - a).terms == ()
+
+
+def _one_term(rng, **kw) -> GrossNumber:
+    x = ZERO
+    while not x.terms:
+        x = random_number(rng, max_terms=1, coeff_den_bound=4, **kw)
+    return x
+
+
+@pytest.mark.parametrize("a, b, product", [
+    (exp_gross(Fraction(3, 2), GROSSONE), exp_gross(Fraction(2, 3), GROSSONE), "(1, 1, 0)"),
+    (GROSSONE ** Fraction(1, 2), GROSSONE ** Fraction(1, 2), "(1, 1, 1)"),
+    (gnum(Fraction(3, 2)) * GROSSONE, gnum(Fraction(2, 3)) * GROSSONE ** -1, "(1, 1, 0)"),
+])
+def test_a_single_term_product_with_integral_fields_holds_ints(a, b, product):
+    assert repr(tuple((a * b).terms[0])) == product
+
+
+@settings(max_examples=300)
+@given(st.integers(), st.booleans())
+def test_a_single_term_product_is_the_normalized_pairwise_product(seed, fractional):
+    """``*`` of two single terms builds the one product term directly; it has
+    the terms, and the field types, that ``normalize`` gives.  Half the time
+    ``b`` is built so that the product's coefficient, base or G-power is
+    integral though a factor's is not, as in ``(3/2)^G * (2/3)^G``."""
+    rng = random.Random(seed)
+    a = _one_term(rng, fractional_gpow=fractional)
+    if rng.random() < 0.5:
+        b = _one_term(rng, fractional_gpow=fractional)
+    else:
+        c, base, p = a.terms[0]
+        b = normalize([term(Fraction(rng.choice([1, -2, Fraction(1, 2)])) / c,
+                            rng.choice(BASE_POOL) / base,
+                            rng.choice([0, 1, Fraction(1, 2)]) - p)])
+    pairwise = normalize((ca * cb, ba * bb, pa + pb)
+                         for ca, ba, pa in a.terms for cb, bb, pb in b.terms)
+    assert repr((a * b).terms) == repr((b * a).terms) == repr(pairwise.terms)
 
 
 @given(numbers, st.lists(terms, min_size=2, max_size=4).map(normalize))
