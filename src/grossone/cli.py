@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import GrossoneError, LexError, ParseError, TooManyDigits
+from .errors import GrossoneError, LexError, ParseError
 from .exprlang import Call, eval_expr, evaluate, parse, print_value, tokenize, value_json
 
 EXIT_OK = 0
@@ -47,13 +47,7 @@ def _join_expression_values(argv: list) -> list:
 
 def _error(exc: GrossoneError, prefix: str = "") -> int:
     """Print the error and return the exit code it maps to."""
-    try:
-        message = str(exc)
-    except TooManyDigits as unprintable:
-        # The message names a number past the digit limit, such as the
-        # dividend of a NotExactlyDivisible; say that instead.
-        message = str(unprintable)
-    print(f"{prefix}error: {message}", file=sys.stderr)
+    print(f"{prefix}error: {exc}", file=sys.stderr)
     return EXIT_PARSE if isinstance(exc, (LexError, ParseError)) else EXIT_EVAL
 
 

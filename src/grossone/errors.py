@@ -8,7 +8,24 @@ import sys
 
 
 class GrossoneError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error keeps the values it names as ``args``.  Only ``str()`` renders
+    them into ``message``, ints through :func:`format_int`; past the digit
+    limit it gives the :class:`TooManyDigits` line, so it never raises."""
+
+    message = "{}"
+
+    def __init__(self, *args, message=None):
+        super().__init__(*args)
+        if message is not None:
+            self.message = message
+
+    def __str__(self) -> str:
+        try:
+            return self.message.format(*[format_int(a) if type(a) is int else a for a in self.args])
+        except TooManyDigits as unprintable:
+            return str(unprintable)
 
 
 # --- arithmetic -----------------------------------------------------------
@@ -23,22 +40,15 @@ class NotPositive(GrossoneError, ValueError):
 
 
 class NotExactlyDivisible(GrossoneError):
-    """Long division left a nonzero remainder; no approximate series is produced.
+    """Long division left a nonzero remainder; no approximate series is produced."""
 
-    Keeps both numbers as ``dividend`` and ``divisor``; the message is
-    rendered from them only when it is asked for."""
-
-    def __init__(self, dividend, divisor):
-        super().__init__(dividend, divisor)
-        self.dividend = dividend
-        self.divisor = divisor
-
-    def __str__(self) -> str:
-        return f"({self.dividend}) is not exactly divisible by ({self.divisor})"
+    message = "({}) is not exactly divisible by ({})"
+    dividend = property(lambda self: self.args[0])
+    divisor = property(lambda self: self.args[1])
 
 
 class NegativePowerOfSum(GrossoneError):
-    """Negative integer powers are defined only for single-term numbers."""
+    message = "({})^{}: negative powers need a single term"
 
 
 class ZeroToZero(GrossoneError):
@@ -46,51 +56,66 @@ class ZeroToZero(GrossoneError):
 
 
 class ExponentNotLinearInGrossone(GrossoneError):
-    """Exponent must have the shape a*G + d with integer a and d."""
+    message = "exponent {} is not of the form a*G + d"
 
 
 class NotAGrossInteger(GrossoneError):
-    pass
+    message = "{} is not a gross-integer"
 
 
 class FractionalGrossPower(GrossoneError):
     """eval_at requires every G-exponent to be an integer."""
 
+    message = "G^({}) cannot be evaluated"
+
 
 class NotAMonomial(GrossoneError):
-    pass
+    message = "nth_root needs a single term, got {}"
 
 
 class CoefficientNotPerfectPower(GrossoneError):
-    pass
+    message = "{} is not a perfect {}{} power"
 
 
 class BaseRootUnsupported(GrossoneError):
     """Roots of exponential factors B^G with B != 1 are not representable."""
+
+    message = "cannot take a root of the factor {}"
 
 
 class TooManyDigits(GrossoneError):
     """A number has an integer with more decimal digits than Python converts
     to a string (``sys.get_int_max_str_digits()``), so it cannot be printed."""
 
-    def __init__(self):
-        limit = sys.get_int_max_str_digits()
-        super().__init__(f"cannot print a number with more than {limit} digits")
+    @property
+    def message(self) -> str:
+        return f"cannot print a number with more than {sys.get_int_max_str_digits()} digits"
+
+
+def format_int(n: int) -> str:
+    """``str(n)``, or :class:`TooManyDigits` past the interpreter's
+    int-to-string digit limit.  Sets, int sets and messages print ints with it."""
+    try:
+        return str(n)
+    except ValueError:
+        raise TooManyDigits() from None
 
 
 class TooLarge(GrossoneError):
     """A power of a rational would need more bits than ``gnum.MAX_POWER_BITS``
     (2**20), so it is refused before it is built."""
 
+    message = "a power would need more than {} bits"
+
 
 # --- sets -----------------------------------------------------------------
 
 class ResidueOutOfRange(GrossoneError):
-    pass
+    message = "need 1 <= k <= n, got k={}, n={}"
 
 
 class IndexOutOfRange(GrossoneError):
-    pass
+    message = "index {} outside 1..{}"
 
 
 class GrossFirstUnsupported(GrossoneError):
@@ -98,11 +123,11 @@ class GrossFirstUnsupported(GrossoneError):
 
 
 class ElementAlreadyPresent(GrossoneError):
-    pass
+    message = "{} is already in the set"
 
 
 class ElementNotPresent(GrossoneError):
-    pass
+    message = "{} is not in the set"
 
 
 # --- series ----------------------------------------------------------------
@@ -112,44 +137,41 @@ class UnitRatio(GrossoneError):
 
 
 class OddLength(GrossoneError):
-    pass
+    message = "{} is odd; the block rearrangement needs an even length"
 
 
 # --- paradox scenarios ------------------------------------------------------
 
 class TooManyNewcomers(GrossoneError):
-    pass
+    message = "{} newcomers cannot fit in G rooms"
 
 
 class NotInfinitesimalWidth(GrossoneError):
-    pass
+    message = "width {} must be a single positive infinitesimal term"
 
 
 class CountNotGrossInteger(GrossoneError):
-    pass
+    message = "1/h = {} is not a gross-integer"
 
 
 # --- expression language ----------------------------------------------------
 
 class LexError(GrossoneError):
-    def __init__(self, offset: int, char: str):
-        self.offset = offset
-        self.char = char
-        super().__init__(f"unexpected character {char!r} at offset {offset}")
+    message = "unexpected character {1!r} at offset {0}"
+    offset = property(lambda self: self.args[0])
+    char = property(lambda self: self.args[1])
 
 
 class ParseError(GrossoneError):
-    def __init__(self, offset: int, expected: str):
-        self.offset = offset
-        self.expected = expected
-        super().__init__(f"expected {expected} at offset {offset}")
+    message = "expected {1} at offset {0}"
+    offset = property(lambda self: self.args[0])
+    expected = property(lambda self: self.args[1])
 
 
 class EvalTypeError(GrossoneError):
-    def __init__(self, builtin: str, position: int, message: str):
-        self.builtin = builtin
-        self.position = position
-        super().__init__(f"{builtin}: argument {position}: {message}")
+    message = "{}: argument {}: {}"
+    builtin = property(lambda self: self.args[0])
+    position = property(lambda self: self.args[1])
 
 
 class UnknownIdentifier(GrossoneError):

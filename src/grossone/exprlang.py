@@ -36,6 +36,7 @@ from .errors import (
     LexError,
     ParseError,
     UnknownIdentifier,
+    format_int,
 )
 from .gnum import (
     GROSSONE,
@@ -43,7 +44,6 @@ from .gnum import (
     NumberClass,
     Parity,
     exp_gross,
-    format_int,
     gnum,
     nth_root,
     pow_int,
@@ -346,6 +346,9 @@ def value_json(v: Value) -> dict:
 # argument's value, and returns what the library function takes or raises
 # EvalTypeError naming the position.
 
+_RATIONAL_CLASSES = (NumberClass.FINITE_PURE, NumberClass.ZERO)  # of a plain rational
+
+
 def _number(name: str, pos: int, v: Value) -> GrossNumber:
     if not isinstance(v, GrossNumber):
         raise EvalTypeError(name, pos, "expected a number")
@@ -354,13 +357,9 @@ def _number(name: str, pos: int, v: Value) -> GrossNumber:
 
 def _int(name: str, pos: int, v: Value) -> int:
     n = _number(name, pos, v)
-    try:
-        r = n.as_rational()
-    except ValueError:
-        raise EvalTypeError(name, pos, "expected a finite integer") from None
-    if r.denominator != 1:
-        raise EvalTypeError(name, pos, "expected a finite integer")
-    return int(r)
+    if n.classify() in _RATIONAL_CLASSES and type(r := n.as_rational()) is int:
+        return r
+    raise EvalTypeError(name, pos, "expected a finite integer")
 
 
 def _positive(name: str, pos: int, v: Value, what: str = "a positive integer") -> int:
@@ -376,10 +375,9 @@ def _degree(name: str, pos: int, v: Value) -> int:
 
 def _rational(name: str, pos: int, v: Value) -> Fraction:
     n = _number(name, pos, v)
-    try:
+    if n.classify() in _RATIONAL_CLASSES:
         return n.as_rational()
-    except ValueError:
-        raise EvalTypeError(name, pos, "expected a finite rational") from None
+    raise EvalTypeError(name, pos, "expected a finite rational")
 
 
 def _set(name: str, pos: int, v: Value):
@@ -468,9 +466,6 @@ BUILTINS = {
 
 
 # --- evaluation ----------------------------------------------------------------
-
-_RATIONAL_CLASSES = (NumberClass.FINITE_PURE, NumberClass.ZERO)  # of a plain rational
-
 
 def _eval_power(left: Value, right: Value) -> GrossNumber:
     rv = _number("^", 2, right)

@@ -288,7 +288,7 @@ class GrossNumber:
 
     def parity(self) -> Parity:
         if not self.is_gross_integer():
-            raise NotAGrossInteger(f"{self} is not a gross-integer")
+            raise NotAGrossInteger(self)
         # G is a multiple of every finite 2n, so every non-constant term is
         # even; only the constant decides.
         c = int(self.constant_coeff())
@@ -310,7 +310,7 @@ class GrossNumber:
         total = 0
         for c, b, p in self.terms:
             if type(p) is not int:
-                raise FractionalGrossPower(f"G^({gnum(p)}) cannot be evaluated")
+                raise FractionalGrossPower(gnum(p))
             # Each power is refused with TooLarge before it is built.
             v = c * _power(b, t)
             # For p < 0 one Fraction division costs less than Fraction(t) ** p.
@@ -455,7 +455,7 @@ def _power(x: RationalLike, k: int) -> RationalLike:
     if x == 1:
         return 1
     if (max(abs(x.numerator), x.denominator).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
-        raise TooLarge(f"a power would need more than {MAX_POWER_BITS} bits")
+        raise TooLarge(MAX_POWER_BITS)
     # A negative power of an int would be a float.
     return _q((x if k >= 0 else Fraction(x)) ** k)
 
@@ -474,7 +474,7 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         c, b, p = a.terms[0]
         return GrossNumber((_new(GrossTerm, (_power(c, k), _power(b, k), _q(p * k))),))
     if k < 0:
-        raise NegativePowerOfSum(f"({a})^{format_int(k)}: negative powers need a single term")
+        raise NegativePowerOfSum(a, k)
     result = ONE
     square = a
     while k:
@@ -491,7 +491,7 @@ def linear_gross_parts(e: GrossNumber) -> Tuple[int, int]:
     parts = {1: 0, 0: 0}  # G-power -> integer coefficient
     for t in e.terms:
         if t.base != 1 or t.gpow not in parts or t.coeff.denominator != 1:
-            raise ExponentNotLinearInGrossone(f"exponent {e} is not of the form a*G + d")
+            raise ExponentNotLinearInGrossone(e)
         parts[t.gpow] = int(t.coeff)
     return parts[1], parts[0]
 
@@ -525,7 +525,7 @@ def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
     if n <= 0:
         raise DivisionByZero("modulus must be a positive integer")
     if not x.is_gross_integer():
-        raise NotAGrossInteger(f"{x} is not a gross-integer")
+        raise NotAGrossInteger(x)
     r = int(x.constant_coeff()) % n
     return (x - r) / n, r
 
@@ -549,10 +549,9 @@ def _iroot_exact(k: int, n: int):
     return x if x ** n == k else None
 
 
-def _ordinal(n: int) -> str:
-    """``n`` as an English ordinal: 2nd, 3rd, 11th, 21st."""
-    suffix = "th" if 11 <= n % 100 <= 13 else {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
-    return f"{n}{suffix}"
+def _ordinal_suffix(n: int) -> str:
+    """The suffix of ``n`` as an English ordinal: 2nd, 3rd, 11th, 21st."""
+    return "th" if 11 <= n % 100 <= 13 else {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
 
 
 def nth_root(a: GrossNumber, n: int) -> GrossNumber:
@@ -562,16 +561,16 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     if not a.terms:
         return ZERO
     if len(a.terms) != 1:
-        raise NotAMonomial(f"nth_root needs a single term, got {a}")
+        raise NotAMonomial(a)
     t = a.terms[0]
     if n == 1:
         return a
     if t.base != 1:
-        raise BaseRootUnsupported(f"cannot take a root of the factor {gnum(t.base)}^G")
+        raise BaseRootUnsupported(GrossNumber((GrossTerm(1, t.base, 0),)))
     num = _iroot_exact(t.coeff.numerator, n)
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
-        raise CoefficientNotPerfectPower(f"{gnum(t.coeff)} is not a perfect {_ordinal(n)} power")
+        raise CoefficientNotPerfectPower(gnum(t.coeff), n, _ordinal_suffix(n))
     return GrossNumber((GrossTerm(_div(num, den), 1, _div(t.gpow, n)),))
 
 
@@ -613,13 +612,3 @@ def format_number(a: GrossNumber) -> str:
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise TooManyDigits() from None
     return out
-
-
-def format_int(n: int) -> str:
-    """``str(n)`` of a plain int, or :class:`TooManyDigits` past the
-    interpreter's int-to-string digit limit.  Sets, int sets and the error
-    messages that name a value from the input print their ints with it."""
-    try:
-        return str(n)
-    except ValueError:
-        raise TooManyDigits() from None

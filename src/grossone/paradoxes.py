@@ -152,9 +152,9 @@ def hilbert_accommodate(m=1) -> ParadoxReport:
     """Shift every guest up by m rooms in a hotel with exactly G rooms."""
     m = gnum(m)
     if not m.is_gross_integer() or m.sign() <= 0:
-        raise TooManyNewcomers(f"newcomer count {m} must be a positive gross-integer")
+        raise TooManyNewcomers(m, message="newcomer count {} must be a positive gross-integer")
     if m > G:
-        raise TooManyNewcomers(f"{m} newcomers cannot fit in G rooms")
+        raise TooManyNewcomers(m)
     freed = GrossAP(1, 1, m)
     evicted = GrossAP(G - m + 1, 1, m)
     remaining = G - m
@@ -243,10 +243,10 @@ def torricelli(h=None) -> ParadoxReport:
         or h.terms[0].coeff <= 0
         or h.classify() is not NumberClass.INFINITESIMAL
     ):
-        raise NotInfinitesimalWidth(f"width {h} must be a single positive infinitesimal term")
+        raise NotInfinitesimalWidth(h)
     count = 1 / h
     if not count.is_gross_integer():
-        raise CountNotGrossInteger(f"1/h = {count} is not a gross-integer")
+        raise CountNotGrossInteger(count)
     corner = h * (2 * h) / 2
     # Horizontal strip i: rectangle h x (2 - 2*h*i) plus one corner triangle.
     upper = ap_sum(2 * h - 2 * h * h + corner, -2 * h * h, count)

@@ -97,7 +97,7 @@ def grandi_rearranged(k) -> GrossNumber:
     if k.sign() <= 0:
         raise NotPositive("the number of addends must be positive")
     if k.parity() is not Parity.EVEN:
-        raise OddLength(f"{k} is odd; the block rearrangement needs an even length")
+        raise OddLength(k)
     positives, _ = floor_div_mod(k, 2)
     negatives = positives
     blocks, leftover = floor_div_mod(positives, 2)
@@ -114,9 +114,9 @@ def ramanujan_audit(n=None) -> RamanujanAudit:
     """
     n = G if n is None else gnum(n)
     if not n.is_gross_integer():
-        raise NotAGrossInteger(f"{n} is not a gross-integer")
+        raise NotAGrossInteger(n)
     if n.parity() is not Parity.EVEN:
-        raise OddLength(f"{n} is odd; the grouping needs n/2-addend progressions")
+        raise OddLength(n, message="{} is odd; the grouping needs n/2-addend progressions")
     half = n / 2
     lhs = -3 * triangular(n)
     rhs = ap_sum(1, 2, half) - ap_sum(2, 2, half) - 4 * ap_sum(half + 1, 1, half)

@@ -21,8 +21,9 @@ from .errors import (
     IndexOutOfRange,
     NotPositive,
     ResidueOutOfRange,
+    format_int,
 )
-from .gnum import G, GrossNumber, floor_div_mod, format_int, gnum, nth_root, pow_int
+from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
 
 
 class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
@@ -103,7 +104,7 @@ class RootCount(NamedTuple):
 def ap_nat(k: int, n: int) -> GrossAP:
     """The k-th residue class mod n of the naturals; it has G/n elements."""
     if not 1 <= k <= n:
-        raise ResidueOutOfRange(f"need 1 <= k <= n, got k={format_int(k)}, n={format_int(n)}")
+        raise ResidueOutOfRange(k, n)
     return GrossAP(k, n, G / n)
 
 
@@ -137,7 +138,7 @@ def cardinality(s: SetLike) -> GrossNumber:
 def element_at(s: GrossAP, i) -> GrossNumber:
     idx = gnum(i)
     if not idx.is_gross_integer() or idx.sign() <= 0 or idx > s.count:
-        raise IndexOutOfRange(f"index {idx} outside 1..{s.count}")
+        raise IndexOutOfRange(idx, s.count)
     return s.first + (idx - 1) * s.step
 
 
@@ -215,9 +216,9 @@ def _adjust(s: Union[GrossAP, AdjustedSet], elems, adding: bool) -> AdjustedSet:
     for x in sorted(set(int(e) for e in elems)):
         present = member(adj, x)
         if adding and present:
-            raise ElementAlreadyPresent(f"{format_int(x)} is already in the set")
+            raise ElementAlreadyPresent(x)
         if not adding and not present:
-            raise ElementNotPresent(f"{format_int(x)} is not in the set")
+            raise ElementNotPresent(x)
         if x in undo:
             undo.discard(x)
         else:

@@ -178,12 +178,22 @@ class TestDigitLimit:
     @pytest.mark.parametrize("line", [
         "{BIG}", "ap(BIG, 3)", "addf(nat(), {BIG})", "remf(nat(), {BIG})", "ap(1, BIG)",
         "root(BIG + 1, 2)", "root((BIG)^G, 2)", "(G+1)^(-(BIG))", "evalat(G^(1/BIG), 2)",
+        "root(2, BIG)", "root(2*G, BIG)",
     ])
     def test_a_set_or_a_message_naming_such_an_int_is_an_eval_error(self, capsys, flags, line):
         # A set prints its plain ints, and these messages name one.
         code, out, err = run(capsys, *flags, "--eval", line.replace("BIG", f"10^{self.LIMIT + 700}"))
         assert (code, out) == (3, "")
         assert err == f"error: cannot print a number with more than {self.LIMIT} digits\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize("line, err", [
+        ("ap(BIG*G, 3)", "error: ap: argument 1: expected a finite integer\n"),
+        ("geo(BIG*G, 2)", "error: geo: argument 1: expected a finite rational\n"),
+    ])
+    def test_an_argument_of_the_wrong_kind_is_named_whatever_its_size(self, capsys, flags, line, err):
+        code, out, got = run(capsys, *flags, "--eval", line.replace("BIG", f"10^{self.LIMIT + 700}"))
+        assert (code, out, got) == (3, "", err)
 
     def test_a_script_stops_at_an_error_naming_such_a_number(self, tmp_path, capsys):
         script = tmp_path / "div.g"
@@ -301,6 +311,14 @@ class TestOddRoots:
     ])
     def test_a_root_that_is_not_exact_is_an_eval_error(self, capsys, line, err):
         assert run(capsys, "--eval", line) == (3, "", err)
+
+    @pytest.mark.parametrize("line, err", [
+        ("root(2^G, 2)", "error: cannot take a root of the factor 2^G\n"),
+        ("root((3/2)^G, 2)", "error: cannot take a root of the factor (3/2)^G\n"),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_a_root_of_an_exponential_factor_names_it(self, capsys, flags, line, err):
+        assert run(capsys, *flags, "--eval", line) == (3, "", err)
 
     def test_json_value(self, capsys):
         assert run(capsys, "--json", "--eval", "(-8)^(1/3)") == (

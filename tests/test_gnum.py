@@ -1,6 +1,8 @@
 """Unit tests for the core arithmetic."""
 
+import copy
 import operator
+import pickle
 import sys
 import types
 from fractions import Fraction
@@ -16,29 +18,41 @@ from grossone import (
     eval_at,
     evaluate,
     exp_gross,
+    element_at,
     floor_div_mod,
     format_number,
     geometric,
+    grandi_rearranged,
+    hilbert_accommodate,
+    naturals,
     normalize,
     nth_root,
     parity,
     pow_int,
+    ramanujan_audit,
     term,
+    torricelli,
 )
 from grossone.gnum import ZERO, gnum
 from grossone.errors import (
     BaseRootUnsupported,
     CoefficientNotPerfectPower,
+    CountNotGrossInteger,
     DivisionByZero,
     ExponentNotLinearInGrossone,
     FractionalGrossPower,
+    GrossoneError,
+    IndexOutOfRange,
     NegativePowerOfSum,
     NotAGrossInteger,
     NotAMonomial,
     NotExactlyDivisible,
+    NotInfinitesimalWidth,
     NotPositive,
+    OddLength,
     TooLarge,
     TooManyDigits,
+    TooManyNewcomers,
     ZeroToZero,
 )
 
@@ -229,16 +243,6 @@ class TestDivision:
         assert err.dividend is a and err.divisor is b and err.args == (a, b)
         assert str(err) == f"({a}) is not exactly divisible by ({b})"
         assert repr(err) == f"NotExactlyDivisible({a!r}, {b!r})"
-
-    def test_the_message_is_rendered_only_when_asked_for(self, monkeypatch):
-        import grossone.gnum as m
-
-        calls = []
-        monkeypatch.setattr(m, "format_number", lambda x: calls.append(x) or "x")
-        with pytest.raises(NotExactlyDivisible) as info:
-            (G + 1) / (G - 1)
-        assert calls == []
-        assert str(info.value) == "(x) is not exactly divisible by (x)"
 
     def test_a_multi_term_step_calls_neither_normalize_nor_mul(self, monkeypatch):
         import grossone.gnum as m
@@ -650,3 +654,73 @@ class TestDigitLimit:
         for x in (huge, G - huge, G / huge):
             with pytest.raises(TooManyDigits, match="cannot print a number with more than"):
                 format_number(x)
+
+
+class TestLazyErrorMessages:
+    """An error keeps the values it names and renders them only when its
+    message is read: raising one formats nothing."""
+
+    CASES = [
+        (lambda: (G + 1) / (G - 1), NotExactlyDivisible,
+         "(G + 1) is not exactly divisible by (G - 1)"),
+        (lambda: (G + Fraction(1, 2)).parity(), NotAGrossInteger,
+         "G + 1/2 is not a gross-integer"),
+        (lambda: grandi_rearranged(G + 1), OddLength,
+         "G + 1 is odd; the block rearrangement needs an even length"),
+        (lambda: ramanujan_audit(G + 1), OddLength,
+         "G + 1 is odd; the grouping needs n/2-addend progressions"),
+        (lambda: hilbert_accommodate(G + 1), TooManyNewcomers,
+         "G + 1 newcomers cannot fit in G rooms"),
+        (lambda: hilbert_accommodate(-G), TooManyNewcomers,
+         "newcomer count -G must be a positive gross-integer"),
+        (lambda: element_at(naturals(), G + 1), IndexOutOfRange,
+         "index G + 1 outside 1..G"),
+        (lambda: torricelli(G), NotInfinitesimalWidth,
+         "width G must be a single positive infinitesimal term"),
+        (lambda: torricelli(G ** Fraction(-1, 2)), CountNotGrossInteger,
+         "1/h = G^(1/2) is not a gross-integer"),
+        (lambda: nth_root(G + 1, 2), NotAMonomial,
+         "nth_root needs a single term, got G + 1"),
+        (lambda: (G ** Fraction(1, 2)).eval_at(2), FractionalGrossPower,
+         "G^(1/2) cannot be evaluated"),
+        (lambda: pow_int(G + 1, -3), NegativePowerOfSum,
+         "(G + 1)^-3: negative powers need a single term"),
+        (lambda: nth_root(exp_gross(Fraction(3, 2), G), 2), BaseRootUnsupported,
+         "cannot take a root of the factor (3/2)^G"),
+        (lambda: nth_root(2 * G, 22), CoefficientNotPerfectPower,
+         "2 is not a perfect 22nd power"),
+        (lambda: exp_gross(2, G**2), ExponentNotLinearInGrossone,
+         "exponent G^2 is not of the form a*G + d"),
+    ]
+
+    @pytest.mark.parametrize("fail, cls, message", CASES,
+                             ids=[f"{cls.__name__}-{i}" for i, (_, cls, _) in enumerate(CASES)])
+    def test_raising_formats_nothing(self, monkeypatch, fail, cls, message):
+        import grossone.errors
+        import grossone.gnum
+
+        calls = []
+        monkeypatch.setattr(grossone.gnum, "format_number", lambda x: calls.append(x) or "x")
+        monkeypatch.setattr(grossone.errors, "format_int", lambda n: calls.append(n) or "x")
+        with pytest.raises(cls) as info:
+            fail()
+        assert calls == []
+        monkeypatch.undo()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
+    def test_a_second_wording_survives_a_copy(self, clone):
+        with pytest.raises(OddLength) as info:
+            ramanujan_audit(G + 1)
+        err = clone(info.value)
+        assert type(err) is OddLength and err.args == (G + 1,)
+        assert str(err) == "G + 1 is odd; the grouping needs n/2-addend progressions"
+
+    def test_a_value_past_the_digit_limit_renders_as_the_digit_limit_line(self):
+        huge = 10 ** (sys.get_int_max_str_digits() + 1)
+        limit_line = f"cannot print a number with more than {sys.get_int_max_str_digits()} digits"
+        for fail in (lambda: nth_root(gnum(2), huge), lambda: pow_int(G + 1, -huge),
+                     lambda: (huge * G + 1) / (G - 1)):
+            with pytest.raises(GrossoneError) as info:
+                fail()
+            assert str(info.value) == limit_line
