@@ -39,6 +39,10 @@ class NotPositive(GrossoneError, ValueError):
     exponential base that must be positive is not (``exp_gross`` admits 0)."""
 
 
+class NotRational(GrossoneError, ValueError):
+    message = "{} is not a finite pure rational"
+
+
 class NotExactlyDivisible(GrossoneError):
     """Long division left a nonzero remainder; no approximate series is produced."""
 

@@ -197,6 +197,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.literals: dict = {}  # lexeme -> its Literal, shared within this parse
 
     def expect(self, kind: TokenKind, what: str) -> None:
         tok = self.tokens[self.pos]
@@ -229,42 +230,49 @@ class Parser:
         return node
 
     def operand(self) -> Expr:
-        # Each call is one level of nesting: a unary minus, an unfinished ``^``
-        # exponent (right-associative), a bracket, a brace or a call.
+        # Each call but a leaf's is one level of nesting: a unary minus, an
+        # unfinished ``^`` exponent (right-associative), a bracket, a brace or a call.
         tok = self.tokens[self.pos]
         if self.depth > MAX_NESTING:
             raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting")
-        self.depth += 1
         self.pos += 1
         kind = tok.kind
-        if kind is TokenKind.MINUS:
-            node = Unary("-", self.operand())
-        elif kind is TokenKind.INT:
-            try:
-                value = int(tok.lexeme)
-            except ValueError:  # past the interpreter's digit limit
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
-            node = Literal(gnum(value))
-        elif kind is TokenKind.G:
-            node = Literal(GROSSONE)
-        elif kind is TokenKind.LPAREN:
-            node = self.expression()
-            self.expect(TokenKind.RPAREN, "')'")
-        elif kind is TokenKind.LBRACE:
-            node = SetLit(self.items(TokenKind.RBRACE, "'}'"))
-        elif kind is TokenKind.IDENT and self.tokens[self.pos].kind is TokenKind.LPAREN:
-            self.pos += 1
-            node = Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
-        elif kind is TokenKind.IDENT:
-            node = Name(tok.lexeme)
+        if kind is TokenKind.INT or kind is TokenKind.G:
+            node = self.literals.get(tok.lexeme) or self.literal(tok)  # a Literal is never false
+            if self.tokens[self.pos].kind is not TokenKind.CARET:
+                return node  # a leaf
+            self.depth += 1
         else:
-            raise ParseError(tok.offset, "expression")
+            self.depth += 1
+            if kind is TokenKind.MINUS:
+                node = Unary("-", self.operand())
+            elif kind is TokenKind.LPAREN:
+                node = self.expression()
+                self.expect(TokenKind.RPAREN, "')'")
+            elif kind is TokenKind.LBRACE:
+                node = SetLit(self.items(TokenKind.RBRACE, "'}'"))
+            elif kind is TokenKind.IDENT and self.tokens[self.pos].kind is TokenKind.LPAREN:
+                self.pos += 1
+                node = Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
+            elif kind is TokenKind.IDENT:
+                node = Name(tok.lexeme)
+            else:
+                raise ParseError(tok.offset, "expression")
         # After a minus no ``^`` is left: the operand took it, so -x^y is -(x^y).
         if self.tokens[self.pos].kind is TokenKind.CARET:
             self.pos += 1
             node = Binary("^", node, self.operand())
         self.depth -= 1
+        return node
+
+    def literal(self, tok: Token) -> Literal:
+        """A new Literal for an INT or G token, kept in ``literals``."""
+        try:
+            value = GROSSONE if tok.kind is TokenKind.G else gnum(int(tok.lexeme))
+        except ValueError:  # past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
+        node = self.literals[tok.lexeme] = Literal(value)
         return node
 
     def items(self, close: TokenKind, what: str) -> Tuple[Expr, ...]:
@@ -468,25 +476,28 @@ BUILTINS = {
 # --- evaluation ----------------------------------------------------------------
 
 def _eval_power(left: Value, right: Value) -> GrossNumber:
-    rv = _number("^", 2, right)
-    if rv.classify() in _RATIONAL_CLASSES:
-        r = rv.as_rational()
-        lv = _number("^", 1, left)
+    if type(right) is not GrossNumber:
+        right = _number("^", 2, right)
+    terms = right.terms
+    # A rational exponent is zero or one term with neither B^G nor G: its coefficient.
+    if not terms or (len(terms) == 1 and terms[0].base == 1 and terms[0].gpow == 0):
+        r = terms[0].coeff if terms else 0
+        if type(left) is not GrossNumber:
+            left = _number("^", 1, left)
         # An integral exponent goes to pow_int directly; any other is a root.
-        return pow_int(lv, r) if type(r) is int else lv ** r
+        return pow_int(left, r) if type(r) is int else left ** r
     # Exponent involves G: the base must be a plain nonnegative rational.
     if not (isinstance(left, GrossNumber) and left.classify() in _RATIONAL_CLASSES
             and left.sign() >= 0):
         raise EvalTypeError("^", 1, "a G-exponent needs a nonnegative rational base")
-    return exp_gross(left.as_rational(), rv)
+    return exp_gross(left.as_rational(), right)
 
 
 def eval_expr(expr: Expr) -> Value:
     # One frame per tree level above the leaves: a Literal child's value is
     # read in place.  The most frequent node classes are tested first.
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Binary):
+    cls = type(expr)
+    if cls is Binary:
         op, left, right = expr.op, expr.left, expr.right
         lv = left.value if type(left) is Literal else eval_expr(left)
         if op == "^":
@@ -500,15 +511,18 @@ def eval_expr(expr: Expr) -> Value:
         if spec is None:
             raise UnknownIdentifier(f"unknown operator '{op}'")
         return spec.apply(lv, rv)
-    if isinstance(expr, Name):
-        raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
-    if isinstance(expr, SetLit):
-        return tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items))
-    if isinstance(expr, Unary):
+    if cls is Literal:
+        return expr.value
+    if cls is Unary:
         operand = expr.operand
-        return -_number("-", 1, operand.value if type(operand) is Literal else eval_expr(operand))
-    if isinstance(expr, Call):
+        v = operand.value if type(operand) is Literal else eval_expr(operand)
+        return -(v if type(v) is GrossNumber else _number("-", 1, v))
+    if cls is Call:
         return _eval_call(expr)
+    if cls is Name:
+        raise UnknownIdentifier(f"unknown identifier '{expr.ident}'")
+    if cls is SetLit:
+        return tuple(_int("{}", i + 1, eval_expr(e)) for i, e in enumerate(expr.items))
     raise TypeError(f"not an expression: {expr!r}")
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NotAMonomial,
     NotExactlyDivisible,
     NotPositive,
+    NotRational,
     TooLarge,
     TooManyDigits,
     ZeroToZero,
@@ -245,10 +246,10 @@ class GrossNumber:
     def classify(self) -> NumberClass:
         if not self.terms:
             return NumberClass.ZERO
-        lead = self.terms[0].key
-        if lead > _FINITE_KEY:
+        _, base, gpow = self.terms[0]  # the lead term decides, as key (base, gpow) orders
+        if base > 1 or (base == 1 and gpow > 0):
             return NumberClass.INFINITE
-        if lead == _FINITE_KEY:
+        if base == 1 and gpow == 0:
             if len(self.terms) > 1:
                 return NumberClass.FINITE_WITH_INFINITESIMAL_PART
             return NumberClass.FINITE_PURE
@@ -301,7 +302,7 @@ class GrossNumber:
             return 0
         if len(self.terms) == 1 and self.terms[0].key == _FINITE_KEY:
             return self.terms[0].coeff
-        raise ValueError(f"{self} is not a finite pure rational")
+        raise NotRational(self)
 
     def eval_at(self, t: int) -> Fraction:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
@@ -472,7 +473,9 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         return ZERO
     if len(a.terms) == 1:
         c, b, p = a.terms[0]
-        return GrossNumber((_new(GrossTerm, (_power(c, k), _power(b, k), _q(p * k))),))
+        # 1 to any power is 1, and an int G-power times k is an int.
+        c, b = (c if c == 1 else _power(c, k)), (b if b == 1 else _power(b, k))
+        return GrossNumber((_new(GrossTerm, (c, b, p * k if type(p) is int else _q(p * k))),))
     if k < 0:
         raise NegativePowerOfSum(a, k)
     result = ONE

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grossone.errors import (
+    CoefficientNotPerfectPower,
     EvalTypeError,
+    ExponentNotLinearInGrossone,
     LexError,
+    NegativePowerOfSum,
     ParseError,
+    TooLarge,
     UnknownIdentifier,
+    ZeroToZero,
 )
 from grossone.exprlang import (
     GROSSONE_GLYPH,
@@ -128,6 +133,49 @@ class TestParse:
             parse(tokenize("(" + "9" * (limit + 1) + ")"))
         assert (err.value.offset, err.value.expected) == (1, f"an integer of at most {limit} digits")
 
+    @pytest.mark.parametrize("prefix", ["(", "-", "2^"])
+    def test_nesting_past_the_limit_is_refused_at_the_leaf(self, prefix):
+        # The leaf after 101 levels is refused; after 100 it parses (or wants its ')').
+        text = prefix * 101 + "1"
+        with pytest.raises(ParseError) as err:
+            parse(tokenize(text))
+        assert (err.value.offset, err.value.expected) == (len(text) - 1, "at most 100 levels of nesting")
+        text = prefix * 100 + "1"
+        if prefix == "(":
+            with pytest.raises(ParseError, match="^expected '\\)' at offset 101$"):
+                parse(tokenize(text))
+        else:
+            parse(tokenize(text))
+
+    def test_a_literal_is_read_under_the_digit_limit_of_each_parse(self):
+        text = "9" * 700
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert parse(tokenize(text)).value == 10**700 - 1
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ParseError) as err:
+                parse(tokenize(text))
+            assert (err.value.offset, err.value.expected) == (0, "an integer of at most 640 digits")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_chain_keeps_its_tree_and_shares_equal_literals(self):
+        def shape(node):
+            if type(node) is Literal:
+                return "G" if node.value is GROSSONE else node.value.as_rational()
+            if type(node) is Unary:
+                return (node.op, shape(node.operand))
+            return (node.op, shape(node.left), shape(node.right))
+
+        tree = parse(tokenize("3*G^-2 + 3*G^2"))
+        assert shape(tree) == ("+", ("*", 3, ("^", "G", ("-", 2))), ("*", 3, ("^", "G", 2)))
+        assert type(tree.left.right.right) is Unary
+        # One Literal per lexeme within a parse, a new one in the next parse.
+        assert tree.left.left is tree.right.left
+        assert tree.left.right.left is tree.right.right.left
+        assert parse(tokenize("3")) is not parse(tokenize("3"))
+
     def test_power_binds_tighter_than_minus(self):
         expr = parse(tokenize("2^G - 1"))
         assert isinstance(expr, Binary) and expr.op == "-"
@@ -218,6 +266,30 @@ class TestEval:
         assert print_value(evaluate("G^(1/2)")) == "G^(1/2)"
         assert print_value(evaluate("4^(1/2)")) == "2"
         assert print_value(evaluate("G^(-1/2)")) == "G^(-1/2)"
+
+    # 4^(1/2) and G^(1/2) are pinned by test_fractional_exponent_routes_to_root.
+    @pytest.mark.parametrize("text, out", [
+        ("(1/2)^-3", "8"),
+        ("nat()^2", (EvalTypeError, "^: argument 1: expected a number")),
+        ("2^nat()", (EvalTypeError, "^: argument 2: expected a number")),
+        ("nat()^nat()", (EvalTypeError, "^: argument 2: expected a number")),
+        ("2^(1/2)", (CoefficientNotPerfectPower, "2 is not a perfect 2nd power")),
+        ("0^0", (ZeroToZero, "0^0 is undefined")),
+        ("(G+1)^-1", (NegativePowerOfSum, "(G + 1)^-1: negative powers need a single term")),
+        ("2^(G/2)", (ExponentNotLinearInGrossone, "exponent (1/2)*G is not of the form a*G + d")),
+        ("(-2)^G", (EvalTypeError, "^: argument 1: a G-exponent needs a nonnegative rational base")),
+        ("G^G", (EvalTypeError, "^: argument 1: a G-exponent needs a nonnegative rational base")),
+        ("2^(2^70)", (TooLarge, "a power would need more than 1048576 bits")),
+        ("(2*G)^(10^30)", (TooLarge, "a power would need more than 1048576 bits")),
+    ])
+    def test_power_routes_by_its_operands(self, text, out):
+        # The exponent (argument 2) is checked before the base (argument 1).
+        if isinstance(out, str):
+            assert print_value(evaluate(text)) == out
+        else:
+            with pytest.raises(out[0]) as err:
+                evaluate(text)
+            assert type(err.value) is out[0] and str(err.value) == out[1]
 
     def test_gross_exponent_requires_rational_base(self):
         with pytest.raises(EvalTypeError):

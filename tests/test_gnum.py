@@ -33,7 +33,7 @@ from grossone import (
     term,
     torricelli,
 )
-from grossone.gnum import ZERO, gnum
+from grossone.gnum import ZERO, GrossNumber, gnum
 from grossone.errors import (
     BaseRootUnsupported,
     CoefficientNotPerfectPower,
@@ -49,6 +49,7 @@ from grossone.errors import (
     NotExactlyDivisible,
     NotInfinitesimalWidth,
     NotPositive,
+    NotRational,
     OddLength,
     TooLarge,
     TooManyDigits,
@@ -274,6 +275,21 @@ class TestPow:
     def test_monomial_reciprocal(self):
         assert (2 * G) ** -1 == G**-1 / 2
 
+    @pytest.mark.parametrize("coeff", [1, -1, 3, Fraction(2, 3)])
+    @pytest.mark.parametrize("base", [1, 2, Fraction(1, 2)])
+    @pytest.mark.parametrize("gpow", [0, 1, -2, Fraction(1, 2)])
+    def test_a_power_of_one_term_is_its_repeated_product(self, coeff, base, gpow):
+        x = GrossNumber((term(coeff, base, gpow),))
+        for k in (1, 2, 5, -1, -3):
+            want = gnum(1)
+            for _ in range(abs(k)):
+                want = want * x
+            want = want if k > 0 else 1 / want
+            got = pow_int(x, k)
+            # Equal terms with fields of the same types: an int wherever integral.
+            assert [[(f, type(f)) for f in t] for t in got.terms] == \
+                [[(f, type(f)) for f in t] for t in want.terms]
+
     def test_negative_power_of_sum_rejected(self):
         with pytest.raises(NegativePowerOfSum):
             (G + 1) ** -1
@@ -353,6 +369,24 @@ class TestClassify:
         n = 1 - exp_gross(Fraction(1, 2), G)
         assert n.classify() is NumberClass.FINITE_WITH_INFINITESIMAL_PART
         assert n.finite_part() == gnum(1)
+
+    @pytest.mark.parametrize("base", [Fraction(1, 2), 1, 2])
+    @pytest.mark.parametrize("gpow", [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1])
+    def test_the_lead_key_decides(self, base, gpow):
+        n = GrossNumber((term(-3, base, gpow), term(1, Fraction(1, 3), -5)))
+        key = (base, gpow)
+        want = (NumberClass.INFINITE if key > (1, 0) else
+                NumberClass.FINITE_WITH_INFINITESIMAL_PART if key == (1, 0) else
+                NumberClass.INFINITESIMAL)
+        assert n.classify() is want
+        assert GrossNumber(n.terms[:1]).classify() is (
+            NumberClass.FINITE_PURE if key == (1, 0) else want)
+
+    def test_as_rational_of_a_non_rational_is_a_value_error(self):
+        for n in (G, G + 1, G**-1, 1 + G**-1, 10**5000 * G):
+            with pytest.raises(NotRational) as err:
+                n.as_rational()
+            assert isinstance(err.value, ValueError)
 
     def test_parts_sum_back(self):
         n = 2 * G**2 + 3 + G**-1 - exp_gross(Fraction(1, 2), G)
@@ -691,6 +725,8 @@ class TestLazyErrorMessages:
          "2 is not a perfect 22nd power"),
         (lambda: exp_gross(2, G**2), ExponentNotLinearInGrossone,
          "exponent G^2 is not of the form a*G + d"),
+        (lambda: (G + 1).as_rational(), NotRational,
+         "G + 1 is not a finite pure rational"),
     ]
 
     @pytest.mark.parametrize("fail, cls, message", CASES,
@@ -720,7 +756,7 @@ class TestLazyErrorMessages:
         huge = 10 ** (sys.get_int_max_str_digits() + 1)
         limit_line = f"cannot print a number with more than {sys.get_int_max_str_digits()} digits"
         for fail in (lambda: nth_root(gnum(2), huge), lambda: pow_int(G + 1, -huge),
-                     lambda: (huge * G + 1) / (G - 1)):
+                     lambda: (huge * G + 1) / (G - 1), lambda: (huge * G).as_rational()):
             with pytest.raises(GrossoneError) as info:
                 fail()
             assert str(info.value) == limit_line
