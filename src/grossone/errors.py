@@ -11,8 +11,9 @@ class GrossoneError(Exception):
     """Base class for all errors raised by this package.
 
     An error keeps the values it names as ``args``.  Only ``str()`` renders
-    them into ``message``, ints through :func:`format_int`; past the digit
-    limit it gives the :class:`TooManyDigits` line, so it never raises."""
+    them into ``message``, ints through :func:`format_int`, and a value it was
+    built without as ``?``; past the digit limit it gives the
+    :class:`TooManyDigits` line, so it never raises."""
 
     message = "{}"
 
@@ -23,7 +24,8 @@ class GrossoneError(Exception):
 
     def __str__(self) -> str:
         try:
-            return self.message.format(*[format_int(a) if type(a) is int else a for a in self.args])
+            values = [format_int(a) if type(a) is int else a for a in self.args]
+            return self.message.format(*values, *["?"] * self.message.count("{"))
         except TooManyDigits as unprintable:
             return str(unprintable)
 
@@ -110,6 +112,13 @@ class TooLarge(GrossoneError):
     (2**20), so it is refused before it is built."""
 
     message = "a power would need more than {} bits"
+
+
+class TooManyTerms(GrossoneError):
+    """A product of sums would build more pairwise term products than
+    ``gnum.MAX_PRODUCT_TERMS`` (2**16), so it is refused before any is built."""
+
+    message = "a product would need more than {} term products"
 
 
 # --- sets -----------------------------------------------------------------

@@ -554,15 +554,25 @@ class TestEvalAt:
         (exp_gross(Fraction(2, 3), G) + 1, 2**21),
         (G**3 + 1, 2**400000),
         (G**-3, 2**400000),
-    ], ids=["2^G", "(2/3)^G", "G^3", "G^-3"])
+        (exp_gross(2, G), 2**20 + 1),
+        (exp_gross(Fraction(1, 3), G), 2**20 + 1),
+        (G ** (2**20 + 1), 2),
+        (G ** -(2**20 + 1), 2),
+    ], ids=["2^G", "(2/3)^G", "G^3", "G^-3", "2^G one past", "(1/3)^G one past",
+            "G^p one past", "G^-p one past"])
     def test_a_power_past_the_limit_is_refused_before_it_is_built(self, x, t):
         with pytest.raises(TooLarge, match="^a power would need more than 1048576 bits$"):
             eval_at(x, t)
 
     def test_a_power_at_the_limit_is_built(self):
-        # (2 - 1) bits of bound per unit of t: 2^20 is the largest admitted t.
+        # (2 - 1) bits of bound per unit of t (or of p at t = 2): 2^20 is the
+        # largest admitted; for t = 1 the bound is 0.
         assert eval_at(exp_gross(2, G), 2**20) == 2 ** 2**20
+        assert eval_at(exp_gross(Fraction(1, 3), G), 2**20) == Fraction(1, 3 ** 2**20)
+        assert eval_at(G ** 2**20, 2) == 2 ** 2**20
+        assert eval_at(G ** -(2**20), 2) == Fraction(1, 2 ** 2**20)
         assert eval_at(G**-1, 2**40) == Fraction(1, 2**40)
+        assert eval_at(G ** 10**9 + 1, 1) == 2
 
 
 class TestFormat:
@@ -690,6 +700,16 @@ class TestDigitLimit:
                 format_number(x)
 
 
+def _error_classes() -> list:
+    """GrossoneError and every subclass of it that grossone.errors defines."""
+    found, todo = set(), [GrossoneError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo += cls.__subclasses__()
+    return sorted((c for c in found if c.__module__ == "grossone.errors"), key=lambda c: c.__name__)
+
+
 class TestLazyErrorMessages:
     """An error keeps the values it names and renders them only when its
     message is read: raising one formats nothing."""
@@ -760,3 +780,13 @@ class TestLazyErrorMessages:
             with pytest.raises(GrossoneError) as info:
                 fail()
             assert str(info.value) == limit_line
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_an_error_built_without_its_values_renders_a_line(self, cls):
+        text = str(cls())
+        assert text and "\n" not in text
+
+    def test_each_missing_value_renders_as_a_question_mark(self):
+        assert str(NotAGrossInteger()) == "? is not a gross-integer"
+        assert str(NotExactlyDivisible(G)) == "(G) is not exactly divisible by (?)"
+        assert str(GrossoneError()) == "?"

@@ -1,0 +1,240 @@
+"""The kernel's int paths against the plain Fraction formulas they replace.
+
+``eval_at``, ``div_exact`` and ``*`` compute on the int numerators and
+denominators of coefficients and bases.  The reference functions below do the
+same work with ``Fraction`` arithmetic, as the kernel once did; every result
+must agree with them in value and in the type of each field.  The bound on
+products and the trailing-term refusal of long division are pinned at their
+edges; ``tests/test_gnum.py::TestEvalAt`` pins the bound on powers.
+"""
+
+import random
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import grossone.gnum as gnum_module
+from grossone import G, eval_at, term
+from grossone.errors import (
+    FractionalGrossPower, GrossoneError, NotExactlyDivisible, TooManyTerms,
+)
+from grossone.gnum import MAX_PRODUCT_TERMS, GrossNumber, div_exact, normalize
+
+from conftest import random_number
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# -- the Fraction formulas -------------------------------------------------------
+
+def canonical(x):
+    """An int when integral, else the Fraction, as every term field must be."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def ref_eval_at(x: GrossNumber, t: int) -> Fraction:
+    total = Fraction(0)
+    for c, b, p in x.terms:
+        total += Fraction(c) * Fraction(b) ** t * Fraction(t) ** p
+    return total
+
+
+def ref_mul(x: GrossNumber, y: GrossNumber) -> list:
+    """The sorted canonical terms of the pairwise products, merged in a dict."""
+    merged: dict = {}
+    for ca, ba, pa in x.terms:
+        for cb, bb, pb in y.terms:
+            key = (Fraction(ba) * bb, Fraction(pa) + pb)
+            merged[key] = merged.get(key, 0) + Fraction(ca) * cb
+    return [(canonical(c), canonical(b), canonical(p))
+            for (b, p), c in sorted(merged.items(), reverse=True) if c]
+
+
+def ref_divide_term(s, t) -> tuple:
+    return (canonical(Fraction(s[0]) / t[0]), canonical(Fraction(s[1]) / t[1]),
+            canonical(Fraction(s[2]) - t[2]))
+
+
+def ref_div_exact(a: GrossNumber, b: GrossNumber):
+    """Graded long division with the quotient-term box and no trailing-term
+    check: ``(quotient terms, None)``, or ``(None, merges before the box
+    refused)`` for an inexact division."""
+    x, y = a.terms, b.terms
+    if len(y) == 1 or not x:
+        return [ref_divide_term(s, y[0]) for s in x], None
+    base_lo, base_hi = Fraction(x[-1][1]) / y[-1][1], Fraction(x[0][1]) / y[0][1]
+    pow_lo = min(s[2] for s in x) - min(s[2] for s in y)
+    pow_hi = max(s[2] for s in x) - max(s[2] for s in y)
+    quotient, rest = [], a
+    while rest.terms:
+        t = ref_divide_term(rest.terms[0], y[0])
+        if not (base_lo <= t[1] <= base_hi and pow_lo <= t[2] <= pow_hi):
+            return None, len(quotient)
+        quotient.append(t)
+        rest = rest - normalize([t]) * b
+    return quotient, None
+
+
+def typed(terms) -> list:
+    """Terms with the type of each field, so that 2 and Fraction(2) differ."""
+    return [tuple((type(f), f) for f in t) for t in terms]
+
+
+def assert_canonical(x: GrossNumber):
+    for t in x.terms:
+        for f in t:
+            assert type(f) is int or (type(f) is Fraction and f.denominator != 1), t
+    keys = [(t.base, t.gpow) for t in x.terms]
+    assert keys == sorted(set(keys), reverse=True)
+
+
+# -- operands ---------------------------------------------------------------------
+
+def negative_lead(x: GrossNumber) -> GrossNumber:
+    return -x if x.terms and x.terms[0].coeff > 0 else x
+
+
+FAMILIES = {
+    "random_number": lambda rng: random_number(rng),
+    "fractional coefficients": lambda rng: random_number(rng, coeff_den_bound=12),
+    "fractional G-powers": lambda rng: random_number(rng, fractional_gpow=True, coeff_den_bound=3),
+    "negative lead": lambda rng: negative_lead(random_number(rng, coeff_den_bound=5)),
+}
+
+
+def pairs(family: str, count: int = 150):
+    rng = random.Random(f"int-paths {family}")
+    draw = FAMILIES[family]
+    return [(draw(rng), draw(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestAgainstFractionFormulas:
+    def test_eval_at(self, family):
+        for x, _ in pairs(family):
+            if any(type(t.gpow) is not int for t in x.terms):
+                with pytest.raises(FractionalGrossPower):
+                    eval_at(x, 2)
+                continue
+            for t in (1, 2, 7, 60, 1000):
+                v = eval_at(x, t)
+                assert type(v) is Fraction and v == ref_eval_at(x, t)
+
+    def test_product(self, family):
+        for x, y in pairs(family):
+            product = x * y
+            assert_canonical(product)
+            assert typed(product.terms) == typed(ref_mul(x, y))
+
+    def test_exact_division(self, family):
+        for q, b in pairs(family):
+            if not b.terms:
+                continue
+            a = q * b
+            quotient = div_exact(a, b)
+            assert_canonical(quotient)
+            assert quotient == q
+            want, _ = ref_div_exact(a, b)
+            assert typed(quotient.terms) == typed(want)
+
+    def test_single_term_divisor(self, family):
+        rng = random.Random(f"single-term divisor {family}")
+        for a, _ in pairs(family):
+            d = FAMILIES[family](rng)
+            if not d.terms:
+                continue
+            d = GrossNumber(d.terms[:1])
+            quotient = div_exact(a, d)
+            assert_canonical(quotient)
+            want, _ = ref_div_exact(a, d)
+            assert typed(quotient.terms) == typed(want)
+
+    def test_inexact_division_is_refused_as_before(self, family):
+        rng = random.Random(f"inexact {family}")
+        refused = 0
+        for q, b in pairs(family):
+            if len(b.terms) < 2:
+                continue
+            a = q * b + normalize([term(rng.choice([-3, 1, 2]), 1, rng.randint(-9, 9))])
+            want, _ = ref_div_exact(a, b)
+            if want is not None:
+                assert typed(div_exact(a, b).terms) == typed(want)
+                continue
+            refused += 1
+            with pytest.raises(NotExactlyDivisible) as info:
+                div_exact(a, b)
+            assert info.value.args == (a, b)
+        assert refused > 50
+
+
+# -- long division: the trailing-term refusal -------------------------------------
+
+def count_merges(monkeypatch) -> list:
+    """Count the + merges of div_exact's steps, one per step."""
+    calls = []
+    add = GrossNumber.__add__
+    monkeypatch.setattr(GrossNumber, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    return calls
+
+
+def test_the_trailing_term_check_refuses_before_the_box(monkeypatch):
+    a = G - G**-2 - gnum_module.exp_gross(Fraction(1, 2), G) * G
+    b = 1 - G
+    assert str(a) == "G - G^-2 - (1/2)^G*G" and str(b) == "-G + 1"
+    # The box alone lets 6 steps run; after the 4th, rest's lowest term is
+    # no longer a's, and that alone proves the division inexact.
+    assert ref_div_exact(a, b) == (None, 6)
+    merges = count_merges(monkeypatch)
+    with pytest.raises(NotExactlyDivisible):
+        div_exact(a, b)
+    assert len(merges) == 4
+
+
+def test_the_trailing_term_check_never_refuses_an_exact_division(monkeypatch):
+    q, b = G**4 - 3 * G + Fraction(1, 2) * G**-3, G + 1
+    merges = count_merges(monkeypatch)
+    assert div_exact(q * b, b) == q
+    assert len(merges) == len(q.terms)
+
+
+# -- bounds -------------------------------------------------------------------------
+
+def wide(n: int) -> GrossNumber:
+    return normalize([term(1, 1, p) for p in range(n)])
+
+
+class TestProductBound:
+    def test_a_product_past_the_bound_builds_no_term(self, monkeypatch):
+        x, y = wide(257), wide(256)
+        assert len(x.terms) * len(y.terms) > MAX_PRODUCT_TERMS
+        monkeypatch.setattr(gnum_module, "normalize", lambda raw: pytest.fail("a term was built"))
+        with pytest.raises(TooManyTerms) as info:
+            x * y
+        assert isinstance(info.value, GrossoneError)
+        assert str(info.value) == "a product would need more than 65536 term products"
+
+    def test_the_bound_itself_is_admitted(self, monkeypatch):
+        monkeypatch.setattr(gnum_module, "MAX_PRODUCT_TERMS", 12)
+        # (1 + G + G^2) * (1 + G + G^2 + G^3): 12 term products.
+        assert wide(3) * wide(4) == normalize([term(min(p + 1, 3, 6 - p), 1, p) for p in range(6)])
+        with pytest.raises(TooManyTerms):
+            wide(13) * wide(1)
+
+    def test_a_product_of_single_terms_is_never_refused(self, monkeypatch):
+        monkeypatch.setattr(gnum_module, "MAX_PRODUCT_TERMS", 0)
+        assert (G * (2 * G)).terms == ((2, 1, 2),)
+
+    @pytest.mark.parametrize("line", ["tri(" * 98 + "G" + ")" * 98, "(G+1)^100000"],
+                             ids=["tri nested 98 deep", "(G+1)^100000"])
+    def test_the_cli_ends_with_exit_3_at_once(self, line):
+        start = time.monotonic()
+        p = subprocess.run([sys.executable, "-m", "grossone.cli", "--eval", line],
+                           env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - start < 20
+        assert (p.returncode, p.stdout) == (3, "")
+        assert p.stderr == "error: a product would need more than 65536 term products\n"
