@@ -108,8 +108,9 @@ def format_int(n: int) -> str:
 
 
 class TooLarge(GrossoneError):
-    """A power of a rational would need more bits than ``gnum.MAX_POWER_BITS``
-    (2**20), so it is refused before it is built."""
+    """A power of a rational, or a coefficient of a power of a sum, would need
+    more bits than ``gnum.MAX_POWER_BITS`` (2**20), so it is refused before it
+    is built."""
 
     message = "a power would need more than {} bits"
 

@@ -49,7 +49,8 @@ _new = tuple.__new__
 
 #: The most bits ``pow_int`` (of a single term), ``exp_gross`` and
 #: ``eval_at`` let one power of a rational need; a larger power is refused
-#: with :class:`TooLarge` before it is built.
+#: with :class:`TooLarge` before it is built.  ``pow_int`` of a sum refuses
+#: a squaring or product whose coefficients may need more.
 MAX_POWER_BITS = 1 << 20
 
 #: ``eval_at`` sums a term in ints while the size bound of its powers is at
@@ -153,22 +154,34 @@ def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNu
     i = j = 0
     s, t = x[0], y[0]
     while True:
-        # Fields by index: (coeff, base, gpow).
-        if s[1] == t[1]:
-            if s[2] == t[2]:
-                c = s[0] - t[0] if subtract else s[0] + t[0]
+        # Fields by index: (coeff, base, gpow).  One object, or two ints,
+        # compare as they are (the identity test spares the type tests where
+        # both bases are the int 1); any other pair as the ints sn*td and
+        # tn*sd, with positive denominators, so no Fraction comparison runs.
+        # Once the bases, or failing them the G-powers, differ, u > v decides.
+        u, v = s[1], t[1]
+        if u is not v and (type(u) is not int or type(v) is not int):
+            u, v = u.numerator * v.denominator, v.numerator * u.denominator
+        if u is v or u == v:
+            u, v = s[2], t[2]
+            if u is not v and (type(u) is not int or type(v) is not int):
+                u, v = u.numerator * v.denominator, v.numerator * u.denominator
+            if u is v or u == v:
+                # The coefficients add over the common denominator d.
+                u, v, d = s[0], t[0], 1
+                if type(u) is not int or type(v) is not int:
+                    d = u.denominator * v.denominator
+                    u, v = u.numerator * v.denominator, v.numerator * u.denominator
+                c = u - v if subtract else u + v
                 if c:
-                    out.append(_new(GrossTerm, (c if type(c) is int else _q(c), s[1], s[2])))
+                    out.append(_new(GrossTerm, (c if d == 1 else _ratio(c, d), s[1], s[2])))
                 i += 1
                 j += 1
                 if i == n or j == m:
                     break
                 s, t = x[i], y[j]
                 continue
-            first = s[2] > t[2]
-        else:
-            first = s[1] > t[1]
-        if first:
+        if u > v:
             out.append(s)
             i += 1
             if i == n:
@@ -183,6 +196,28 @@ def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNu
     out += x[i:]
     out += [_new(GrossTerm, (-t[0], t[1], t[2])) for t in y[j:]] if subtract else y[j:]
     return GrossNumber(tuple(out))
+
+
+def _times(u: RationalLike, v: RationalLike) -> RationalLike:
+    """``u * v`` in canonical form, with no Fraction arithmetic: two ints
+    multiply, a factor 1 gives the other factor as it stands, and any other
+    pair goes through ``_ratio`` on numerators and denominators."""
+    if type(u) is int:
+        if type(v) is int:
+            return u * v
+        if u == 1:
+            return v
+    elif type(v) is int and v == 1:
+        return u
+    return _ratio(u.numerator * v.numerator, u.denominator * v.denominator)
+
+
+def _plus(u: RationalLike, v: RationalLike) -> RationalLike:
+    """``u + v`` in canonical form, with no Fraction arithmetic."""
+    if type(u) is int and type(v) is int:
+        return u + v
+    return _ratio(u.numerator * v.denominator + v.numerator * u.denominator,
+                  u.denominator * v.denominator)
 
 
 class GrossNumber:
@@ -217,12 +252,14 @@ class GrossNumber:
             # A product of nonzero coefficients is nonzero and a product of
             # positive bases is positive: one canonical term, with no merge.
             (ca, ba, pa), (cb, bb, pb) = x[0], y[0]
-            return GrossNumber((_new(GrossTerm, (_q(ca * cb), _q(ba * bb), _q(pa + pb))),))
+            return GrossNumber((_new(GrossTerm, (_times(ca, cb), _times(ba, bb), _plus(pa, pb))),))
         if len(x) * len(y) > MAX_PRODUCT_TERMS:
             raise TooManyTerms(MAX_PRODUCT_TERMS)
-        # A base of 1 is the int 1 in canonical form, so a product with it is
-        # the other base as it stands.
-        return normalize((ca * cb, bb if ba == 1 else ba if bb == 1 else ba * bb, pa + pb)
+        # Two int fields multiply, or add, inline; any other pair takes the
+        # helper, so a Fraction base is never compared with the base 1.
+        return normalize((ca * cb if type(ca) is int and type(cb) is int else _times(ca, cb),
+                          ba * bb if type(ba) is int and type(bb) is int else _times(ba, bb),
+                          pa + pb if type(pa) is int and type(pb) is int else _plus(pa, pb))
                          for ca, ba, pa in x for cb, bb, pb in y)
 
     __rmul__ = __mul__
@@ -416,20 +453,34 @@ def compare(a: GrossNumber, b) -> int:
     """-1, 0 or +1 as ``a`` is less than, equal to, or greater than ``b``.
 
     Reads both canonical term tuples from the top down, as the sign of
-    ``a - b`` is decided by the first term where they differ.
+    ``a - b`` is decided by the first term where they differ.  Fields are
+    compared as ``_add`` compares them, on ints, in the order base, G-power,
+    coefficient; the sign of a coefficient is that of its numerator.
     """
     x, y = a.terms, gnum(b).terms
     for s, t in zip(x, y):
-        if s != t:
-            if s.key == t.key:
-                return 1 if s.coeff > t.coeff else -1
-            if s.key > t.key:
-                return 1 if s.coeff > 0 else -1
-            return -1 if t.coeff > 0 else 1
+        u, v = s[1], t[1]
+        if u is not v and (type(u) is not int or type(v) is not int):
+            u, v = u.numerator * v.denominator, v.numerator * u.denominator
+        if u is v or u == v:
+            u, v = s[2], t[2]
+            if u is not v and (type(u) is not int or type(v) is not int):
+                u, v = u.numerator * v.denominator, v.numerator * u.denominator
+            if u is v or u == v:
+                u, v = s[0], t[0]
+                if u is not v and (type(u) is not int or type(v) is not int):
+                    u, v = u.numerator * v.denominator, v.numerator * u.denominator
+                if u is v or u == v:
+                    continue
+                return 1 if u > v else -1
+        # The keys differ: the term of the larger key decides.
+        if u > v:
+            return 1 if s[0].numerator > 0 else -1
+        return -1 if t[0].numerator > 0 else 1
     if len(x) > len(y):
-        return 1 if x[len(y)].coeff > 0 else -1
+        return 1 if x[len(y)][0].numerator > 0 else -1
     if len(y) > len(x):
-        return -1 if y[len(x)].coeff > 0 else 1
+        return -1 if y[len(x)][0].numerator > 0 else 1
     return 0
 
 
@@ -548,11 +599,29 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
     square = a
     while k:
         if k & 1:
+            _check_product(result, square)
             result = result * square
         k >>= 1
         if k:
+            _check_product(square, square)
             square = square * square
     return result
+
+
+def _field_bits(a: GrossNumber) -> int:
+    """The most bits of any numerator or denominator among ``a``'s fields."""
+    return max(max(abs(c.numerator), c.denominator, b.numerator, b.denominator,
+                   abs(p.numerator), p.denominator) for c, b, p in a.terms).bit_length()
+
+
+def _check_product(x: GrossNumber, y: GrossNumber) -> None:
+    """Refuse ``x * y`` with :class:`TooLarge` when its largest field may
+    need more than ``MAX_POWER_BITS`` bits, estimated as the bits of the
+    largest field of each factor together, plus the bits of the number of
+    term products that may add into one coefficient."""
+    bits = _field_bits(x) + _field_bits(y) + min(len(x.terms), len(y.terms)).bit_length()
+    if bits > MAX_POWER_BITS:
+        raise TooLarge(MAX_POWER_BITS)
 
 
 def linear_gross_parts(e: GrossNumber) -> Tuple[int, int]:

@@ -1,10 +1,11 @@
 """The kernel's int paths against the plain Fraction formulas they replace.
 
-``eval_at``, ``div_exact`` and ``*`` compute on the int numerators and
-denominators of coefficients and bases.  The reference functions below do the
-same work with ``Fraction`` arithmetic, as the kernel once did; every result
-must agree with them in value and in the type of each field.  The bound on
-products and the trailing-term refusal of long division are pinned at their
+``eval_at``, ``div_exact``, ``+``, ``-``, ``compare`` and ``*`` compute on the
+int numerators and denominators of coefficients, bases and G-powers.  The
+reference functions below do the same work with ``Fraction`` arithmetic and
+comparisons, as the kernel once did; every result must agree with them in
+value and in the type of each field.  The bounds on products and on powers of
+sums and the trailing-term refusal of long division are pinned at their
 edges; ``tests/test_gnum.py::TestEvalAt`` pins the bound on powers.
 """
 
@@ -20,9 +21,11 @@ import pytest
 import grossone.gnum as gnum_module
 from grossone import G, eval_at, term
 from grossone.errors import (
-    FractionalGrossPower, GrossoneError, NotExactlyDivisible, TooManyTerms,
+    FractionalGrossPower, GrossoneError, NotExactlyDivisible, TooLarge, TooManyTerms,
 )
-from grossone.gnum import MAX_PRODUCT_TERMS, GrossNumber, div_exact, normalize
+from grossone.gnum import (
+    MAX_PRODUCT_TERMS, GrossNumber, compare, div_exact, normalize, pow_int,
+)
 
 from conftest import random_number
 
@@ -53,6 +56,23 @@ def ref_mul(x: GrossNumber, y: GrossNumber) -> list:
             merged[key] = merged.get(key, 0) + Fraction(ca) * cb
     return [(canonical(c), canonical(b), canonical(p))
             for (b, p), c in sorted(merged.items(), reverse=True) if c]
+
+
+def ref_add(x: GrossNumber, y: GrossNumber, sign: int = 1) -> list:
+    """The sorted canonical terms of ``x + sign*y``, merged in a dict."""
+    merged: dict = {}
+    for terms, k in ((x.terms, 1), (y.terms, sign)):
+        for c, b, p in terms:
+            key = (Fraction(b), Fraction(p))
+            merged[key] = merged.get(key, 0) + k * Fraction(c)
+    return [(canonical(c), canonical(b), canonical(p))
+            for (b, p), c in sorted(merged.items(), reverse=True) if c]
+
+
+def ref_compare(x: GrossNumber, y: GrossNumber) -> int:
+    """The sign of the lead coefficient of ``x - y``."""
+    difference = ref_add(x, y, -1)
+    return 0 if not difference else 1 if difference[0][0] > 0 else -1
 
 
 def ref_divide_term(s, t) -> tuple:
@@ -104,6 +124,7 @@ FAMILIES = {
     "fractional coefficients": lambda rng: random_number(rng, coeff_den_bound=12),
     "fractional G-powers": lambda rng: random_number(rng, fractional_gpow=True, coeff_den_bound=3),
     "negative lead": lambda rng: negative_lead(random_number(rng, coeff_den_bound=5)),
+    "fractional fields": lambda rng: random_number(rng, fractional_gpow=True, coeff_den_bound=6),
 }
 
 
@@ -130,6 +151,21 @@ class TestAgainstFractionFormulas:
             product = x * y
             assert_canonical(product)
             assert typed(product.terms) == typed(ref_mul(x, y))
+
+    def test_sum_and_difference(self, family):
+        for x, y in pairs(family):
+            for got, sign in ((x + y, 1), (x - y, -1)):
+                assert_canonical(got)
+                assert typed(got.terms) == typed(ref_add(x, y, sign))
+
+    def test_order(self, family):
+        for x, y in pairs(family):
+            # A near pair too: the same terms but one, so the walk goes deep.
+            near = y if not x.terms else x + normalize([x.terms[-1]]) * Fraction(1, 7)
+            for a, b in ((x, y), (y, x), (x, x), (x, near), (near, x)):
+                want = ref_compare(a, b)
+                assert compare(a, b) == want
+                assert (a < b) is (want < 0) and (a == b) is (want == 0)
 
     def test_exact_division(self, family):
         for q, b in pairs(family):
@@ -170,6 +206,95 @@ class TestAgainstFractionFormulas:
                 div_exact(a, b)
             assert info.value.args == (a, b)
         assert refused > 50
+
+
+# -- order, sums and products: single terms and pinned pairs ---------------------
+
+def one(c=1, base=1, gpow=0) -> GrossNumber:
+    return GrossNumber((term(c, base, gpow),))
+
+
+def check_against_formulas(a: GrossNumber, b: GrossNumber):
+    for x, y in ((a, b), (b, a)):
+        want = ref_compare(x, y)
+        assert compare(x, y) == want
+        assert (x < y) is (want < 0) and (x == y) is (want == 0)
+        assert typed((x + y).terms) == typed(ref_add(x, y))
+        assert typed((x - y).terms) == typed(ref_add(x, y, -1))
+        assert typed((x * y).terms) == typed(ref_mul(x, y))
+
+
+def test_single_terms_against_the_formulas():
+    rng = random.Random("int-paths single terms")
+    for _ in range(300):
+        a, b = (random_number(rng, max_terms=1, fractional_gpow=True, coeff_den_bound=6)
+                for _ in range(2))
+        check_against_formulas(a, b)
+
+
+PINNED = {
+    # Bases that differ only as Fractions.
+    "(3/2)^G, (5/2)^G": (one(base=Fraction(3, 2)), one(base=Fraction(5, 2)), -1),
+    # An int base against a Fraction base, above and below 1.
+    "2^G, (3/2)^G": (one(base=2), one(base=Fraction(3, 2)), 1),
+    "(1/2)^G, 1": (one(base=Fraction(1, 2)), one(), -1),
+    "(1/2)^G*G^9, -G^-9": (one(base=Fraction(1, 2), gpow=9), one(-1, gpow=-9), 1),
+    # G-powers that differ only as Fractions, and Fraction coefficients.
+    "G^(1/2), G^(1/3)": (one(gpow=Fraction(1, 2)), one(gpow=Fraction(1, 3)), 1),
+    "-G^(-2/3), -G^(-1/2)": (one(-1, gpow=Fraction(-2, 3)), one(-1, gpow=Fraction(-1, 2)), 1),
+    "(1/3)*(3/2)^G, (1/2)*(3/2)^G": (one(Fraction(1, 3), Fraction(3, 2)),
+                                     one(Fraction(1, 2), Fraction(3, 2)), -1),
+    # Equal Fraction fields held in distinct objects.
+    "equal (3/2)^G*G^(1/2)": (one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2)),
+                              one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2)), 0),
+    "sums sharing (3/2)^G*G": (normalize([term(1, Fraction(3, 2), 1), term(Fraction(1, 2))]),
+                               normalize([term(1, Fraction(3, 2), 1), term(Fraction(1, 3))]), 1),
+    "sums sharing 1/2": (normalize([term(1, Fraction(2, 3), 1), term(Fraction(1, 2))]),
+                         normalize([term(2, Fraction(2, 3), 1), term(Fraction(1, 2))]), -1),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_pairs(name):
+    a, b, order = PINNED[name]
+    assert compare(a, b) == order
+    check_against_formulas(a, b)
+
+
+def test_equal_fields_in_distinct_objects_merge():
+    a, b, _ = PINNED["equal (3/2)^G*G^(1/2)"]
+    assert a.terms[0].base is not b.terms[0].base and a.terms[0].gpow is not b.terms[0].gpow
+    assert (a + b).terms == ((Fraction(5, 3), Fraction(3, 2), Fraction(1, 2)),)
+    assert (a - b).terms == () and a == b and compare(a, b) == 0
+    assert str(a * b) == "(25/36)*(9/4)^G*G"
+
+
+def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_products():
+    """Only the numerator and denominator properties of a Fraction run from
+    these functions; a Fraction is built only for a stored field."""
+    called = set()
+    kernel = gnum_module.__file__
+    callers = {"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus"}
+    fractions_module = sys.modules[Fraction.__module__].__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions_module:
+            caller = frame.f_back.f_code
+            if caller.co_filename == kernel and caller.co_name in callers:
+                called.add((caller.co_name, frame.f_code.co_name))
+
+    rng = random.Random("int-paths profile")
+    operands = [random_number(rng, fractional_gpow=True, coeff_den_bound=6) for _ in range(60)]
+    operands += [a for a, b, _ in PINNED.values()] + [b for a, b, _ in PINNED.values()]
+    sys.setprofile(profile)
+    try:
+        for x, y in zip(operands, operands[1:]):
+            x + y, x - y, x * y, compare(x, y), x < y, x == y
+    finally:
+        sys.setprofile(None)
+    # A difference negates each term it copies from the subtrahend, which
+    # builds that stored field; it compares and multiplies nothing.
+    assert {name for _, name in called} <= {"numerator", "denominator", "__neg__"}, called
 
 
 # -- long division: the trailing-term refusal -------------------------------------
@@ -229,12 +354,49 @@ class TestProductBound:
         monkeypatch.setattr(gnum_module, "MAX_PRODUCT_TERMS", 0)
         assert (G * (2 * G)).terms == ((2, 1, 2),)
 
-    @pytest.mark.parametrize("line", ["tri(" * 98 + "G" + ")" * 98, "(G+1)^100000"],
-                             ids=["tri nested 98 deep", "(G+1)^100000"])
-    def test_the_cli_ends_with_exit_3_at_once(self, line):
+    @pytest.mark.parametrize("line, message", [
+        ("tri(" * 98 + "G" + ")" * 98, "a product would need more than 65536 term products"),
+        ("(G+1)^100000", "a product would need more than 65536 term products"),
+        ("(10^5000*G + 1)^1000", "a power would need more than 1048576 bits"),
+    ], ids=["tri nested 98 deep", "(G+1)^100000", "(10^5000*G + 1)^1000"])
+    def test_the_cli_ends_with_exit_3_at_once(self, line, message):
         start = time.monotonic()
         p = subprocess.run([sys.executable, "-m", "grossone.cli", "--eval", line],
                            env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60)
         assert time.monotonic() - start < 20
         assert (p.returncode, p.stdout) == (3, "")
-        assert p.stderr == "error: a product would need more than 65536 term products\n"
+        assert p.stderr == f"error: {message}\n"
+
+
+class TestPowerOfSumBound:
+    """pow_int of a sum refuses a product of its squaring loop when the
+    bits of the two factors' largest fields, plus those of the smaller term
+    count, pass MAX_POWER_BITS."""
+
+    def test_the_bound_itself_is_admitted(self, monkeypatch):
+        # (G+1)^2: the square needs 1 + 1 + bit_length(2) = 4 bits, and the
+        # product of 1 with it 1 + 2 (the coefficient 2) + bit_length(1) = 4.
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 4)
+        assert str(pow_int(G + 1, 2)) == "G^2 + 2*G + 1"
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 3)
+        with pytest.raises(TooLarge):
+            pow_int(G + 1, 2)
+
+    def test_a_refused_power_builds_no_product_past_the_bound(self, monkeypatch):
+        products = []
+        mul = GrossNumber.__mul__
+        monkeypatch.setattr(GrossNumber, "__mul__", lambda a, b: products.append(
+            gnum_module._field_bits(a) + gnum_module._field_bits(b)) or mul(a, b))
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 1 << 14)
+        with pytest.raises(TooLarge) as info:
+            pow_int(10**200 * G + 1, 1000)
+        assert str(info.value) == "a power would need more than 16384 bits"
+        # The squares reach 2^4 * 665 bits; the next one is refused.
+        assert len(products) == 5 and max(products) <= 1 << 14
+
+    def test_a_sum_of_fractions_counts_its_denominators(self, monkeypatch):
+        x = Fraction(1, 2**600) * G + 1
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 2400)
+        pow_int(x, 2)  # the square needs 601 + 601 + 2 bits
+        with pytest.raises(TooLarge):
+            pow_int(x, 4)
