@@ -11,14 +11,16 @@ base always dominates (exponential growth beats any power of G); for equal
 bases the larger power of G dominates.
 
 Everything here is immutable and every operation is a pure function, so values
-can be shared freely across threads.
+can be shared freely across threads.  The one shared state is the cache of
+bases and G-powers behind ``_key``, on which no result depends.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -107,6 +109,51 @@ def _ratio(n: int, d: int) -> RationalLike:
     return Fraction(n, d) if r else q
 
 
+# Key fields are shared.  Every exponential base and G-power the kernel
+# builds comes from ``_key``, which returns the int, or the one Fraction it
+# keeps for that value, so equal keys are mostly one object and the ``is``
+# tests of ``_add`` and ``compare`` decide them without reading numerators
+# and denominators.  Correctness never depends on it: a key built elsewhere,
+# too wide to keep, or built again after the cache was emptied is a distinct
+# object of equal value, and every comparison falls back to the values.
+# Coefficients are never shared.
+#
+# ``_KEYS`` maps the pair ``(n, d)`` a caller computed, reduced or not, to
+# the canonical value of ``n / d``.  It holds at most ``KEYS_MAX`` pairs and
+# is emptied when full; a value whose pair is wider than ``KEY_BITS`` bits is
+# built and not kept.  Writers take the lock, so threads keep the bound.
+_KEYS: dict = {}
+_KEYS_LOCK = allocate_lock()
+KEYS_MAX = 1 << 10
+KEY_BITS = 64
+
+
+def _key(n: int, d: int) -> RationalLike:
+    """The base or G-power ``n / d``, for ints with ``d > 0``, in canonical
+    form: ``n // d`` when ``d`` divides ``n``, else the Fraction ``_KEYS``
+    keeps for that value."""
+    k = (n, d)
+    x = _KEYS.get(k)
+    if x is None:
+        x = _ratio(n, d)
+        if n.bit_length() <= KEY_BITS and d.bit_length() <= KEY_BITS:
+            with _KEYS_LOCK:
+                if len(_KEYS) + 2 > KEYS_MAX:
+                    _KEYS.clear()
+                if type(x) is not int:
+                    x = _KEYS.setdefault((x.numerator, x.denominator), x)
+                _KEYS[k] = x
+    return x
+
+
+def _shared(x: RationalLike) -> RationalLike:
+    """A base or G-power already in canonical form, as ``_key`` keeps it; an
+    int, or a Fraction too wide to keep, as it is."""
+    if type(x) is int or x.numerator.bit_length() > KEY_BITS or x.denominator.bit_length() > KEY_BITS:
+        return x
+    return _key(x.numerator, x.denominator)
+
+
 def _rational(x: RationalLike) -> RationalLike:
     """An ``int`` or a ``Fraction`` in canonical form; no floats, no strings."""
     if not isinstance(x, (int, Fraction)):
@@ -119,7 +166,7 @@ def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) ->
     b = _rational(base)
     if b <= 0:
         raise NotPositive("exponential base must be positive")
-    return GrossTerm(_rational(coeff), b, _rational(gpow))
+    return GrossTerm(_rational(coeff), _shared(b), _shared(_rational(gpow)))
 
 
 def _operator(fn):
@@ -198,10 +245,11 @@ def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNu
     return GrossNumber(tuple(out))
 
 
-def _times(u: RationalLike, v: RationalLike) -> RationalLike:
+def _times(u: RationalLike, v: RationalLike, ratio=_ratio) -> RationalLike:
     """``u * v`` in canonical form, with no Fraction arithmetic: two ints
     multiply, a factor 1 gives the other factor as it stands, and any other
-    pair goes through ``_ratio`` on numerators and denominators."""
+    pair goes through ``ratio`` on numerators and denominators: ``_ratio``
+    for a coefficient, ``_key`` for a base."""
     if type(u) is int:
         if type(v) is int:
             return u * v
@@ -209,15 +257,16 @@ def _times(u: RationalLike, v: RationalLike) -> RationalLike:
             return v
     elif type(v) is int and v == 1:
         return u
-    return _ratio(u.numerator * v.numerator, u.denominator * v.denominator)
+    return ratio(u.numerator * v.numerator, u.denominator * v.denominator)
 
 
 def _plus(u: RationalLike, v: RationalLike) -> RationalLike:
-    """``u + v`` in canonical form, with no Fraction arithmetic."""
+    """``u + v`` of two G-powers in canonical form, through ``_key``, with
+    no Fraction arithmetic."""
     if type(u) is int and type(v) is int:
         return u + v
-    return _ratio(u.numerator * v.denominator + v.numerator * u.denominator,
-                  u.denominator * v.denominator)
+    return _key(u.numerator * v.denominator + v.numerator * u.denominator,
+                u.denominator * v.denominator)
 
 
 class GrossNumber:
@@ -252,13 +301,13 @@ class GrossNumber:
             # A product of nonzero coefficients is nonzero and a product of
             # positive bases is positive: one canonical term, with no merge.
             (ca, ba, pa), (cb, bb, pb) = x[0], y[0]
-            return GrossNumber((_new(GrossTerm, (_times(ca, cb), _times(ba, bb), _plus(pa, pb))),))
+            return GrossNumber((_new(GrossTerm, (_times(ca, cb), _times(ba, bb, _key), _plus(pa, pb))),))
         if len(x) * len(y) > MAX_PRODUCT_TERMS:
             raise TooManyTerms(MAX_PRODUCT_TERMS)
         # Two int fields multiply, or add, inline; any other pair takes the
         # helper, so a Fraction base is never compared with the base 1.
         return normalize((ca * cb if type(ca) is int and type(cb) is int else _times(ca, cb),
-                          ba * bb if type(ba) is int and type(bb) is int else _times(ba, bb),
+                          ba * bb if type(ba) is int and type(bb) is int else _times(ba, bb, _key),
                           pa + pb if type(pa) is int and type(pb) is int else _plus(pa, pb))
                          for ca, ba, pa in x for cb, bb, pb in y)
 
@@ -427,16 +476,28 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
     and ``Fraction``s; the result holds them in canonical form.
     """
     # Keyed on the four ints of base and G-power, which hash far faster than
-    # two Fractions; each entry is the running [coeff, base, gpow], with an
-    # integral base or G-power taken from the key as an int.
+    # two Fractions; each entry is the running [num, den, base, gpow], the
+    # coefficient summed as num / den over the lcm of its denominators, with
+    # an integral base or G-power taken from the key as an int.  An int
+    # coefficient adds to an entry of den 1 as it is.
     merged: dict = {}
     for c, b, p in raw:
         k = (b.numerator, b.denominator, p.numerator, p.denominator)
         entry = merged.get(k)
         if entry is None:
-            merged[k] = [c, k[0] if k[1] == 1 else b, k[2] if k[3] == 1 else p]
-        else:
+            entry = merged[k] = [c, 1, k[0] if k[1] == 1 else b, k[2] if k[3] == 1 else p]
+            if type(c) is not int:
+                entry[0], entry[1] = c.numerator, c.denominator
+        elif type(c) is int and entry[1] == 1:
             entry[0] += c
+        else:
+            n, d, e = c.numerator, c.denominator, entry[1]
+            if d == e:
+                entry[0] += n
+            else:
+                g = gcd(d, e)
+                entry[0] = entry[0] * (d // g) + n * (e // g)
+                entry[1] = e // g * d
     entries = merged.values()
     if len(merged) > 1:
         # Over the common denominators, the scaled numerators order the keys
@@ -446,7 +507,7 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
         entries = [merged[k] for k in sorted(
             merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
     return GrossNumber(tuple([
-        _new(GrossTerm, (c if type(c) is int else _q(c), b, p)) for c, b, p in entries if c]))
+        _new(GrossTerm, (n if d == 1 else _ratio(n, d), b, p)) for n, d, b, p in entries if n]))
 
 
 def compare(a: GrossNumber, b) -> int:
@@ -507,11 +568,12 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         return ZERO
     lc, lb, lp = y[0]
     lcn, lcd, lbn, lbd = lc.numerator, lc.denominator, lb.numerator, lb.denominator
+    nlp = -lp
     if len(y) == 1:
         return GrossNumber(tuple([_new(GrossTerm, (
             _ratio(c.numerator * lcd, c.denominator * lcn),
-            B if lbn == lbd else _ratio(B.numerator * lbd, B.denominator * lbn),
-            _q(p - lp))) for c, B, p in x]))
+            B if lbn == lbd else _key(B.numerator * lbd, B.denominator * lbn),
+            _plus(p, nlp))) for c, B, p in x]))
 
     # For an exact quotient q the extreme layers of a = q*b cannot cancel,
     # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
@@ -542,19 +604,20 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         c, B, p = rest[0]
         cn, cd = c.numerator * lcd, c.denominator * lcn
         bn, bd = B.numerator * lbd, B.denominator * lbn
-        p = _q(p - lp)
+        p = _plus(p, nlp)
         if not (lo_n * bd <= bn * lo_d and bn * hi_d <= hi_n * bd and pow_lo <= p <= pow_hi):
             raise NotExactlyDivisible(a, b)
-        qb = _ratio(bn, bd)
+        qb = _key(bn, bd)
         quotient.append(_new(GrossTerm, (_ratio(cn, cd), qb, p)))
         # rest - t*b in one merge.  t*lead cancels rest's lead term exactly,
         # and scaling by t (a positive base) keeps the key order of b's tail,
         # so -(t * tail) is canonical as built.  Where either base is 1 the
-        # product base is the other one, with no Fraction built.
+        # product base is the other one.
         rest = (GrossNumber(rest[1:]) + GrossNumber(tuple([_new(GrossTerm, (
             _ratio(-cn * tcn, cd * tcd),
-            tb if bn == bd else qb if tbn == tbd else _ratio(bn * tbn, bd * tbd),
-            _q(p + tp))) for tcn, tcd, tb, tbn, tbd, tp in tail]))).terms
+            tb if bn == bd else qb if tbn == tbd else _key(bn * tbn, bd * tbd),
+            p + tp if type(p) is int and type(tp) is int else _plus(p, tp)))
+            for tcn, tcd, tb, tbn, tbd, tp in tail]))).terms
     # The lead key of ``rest`` falls at every step, so the quotient terms
     # are already distinct, descending and nonzero.
     return GrossNumber(tuple(quotient))
@@ -591,10 +654,16 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
     if len(a.terms) == 1:
         c, b, p = a.terms[0]
         # 1 to any power is 1, and an int G-power times k is an int.
-        c, b = (c if c == 1 else _power(c, k)), (b if b == 1 else _power(b, k))
-        return GrossNumber((_new(GrossTerm, (c, b, p * k if type(p) is int else _q(p * k))),))
+        c, b = (c if c == 1 else _power(c, k)), (b if b == 1 else _shared(_power(b, k)))
+        return GrossNumber((_new(GrossTerm, (
+            c, b, p * k if type(p) is int else _key(p.numerator * k, p.denominator))),))
     if k < 0:
         raise NegativePowerOfSum(a, k)
+    # The first and last terms of a**k are those of a to the k-th power, as
+    # no other product reaches their keys; refuse their fields at once.
+    for c, b, _ in (a.terms[0], a.terms[-1]):
+        _check_power(c.numerator, c.denominator, k)
+        _check_power(b.numerator, b.denominator, k)
     result = ONE
     square = a
     while k:
@@ -651,7 +720,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
         raise NotPositive("exponential base must be nonnegative")
-    return GrossNumber((GrossTerm(_power(base, d), _power(base, a), 0),))
+    return GrossNumber((GrossTerm(_power(base, d), _shared(_power(base, a)), 0),))
 
 
 def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
@@ -709,7 +778,7 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     den = _iroot_exact(t.coeff.denominator, n)
     if num is None or den is None:
         raise CoefficientNotPerfectPower(gnum(t.coeff), n, _ordinal_suffix(n))
-    gpow = _ratio(t.gpow.numerator, t.gpow.denominator * n)
+    gpow = _key(t.gpow.numerator, t.gpow.denominator * n)
     return GrossNumber((GrossTerm(_ratio(num, den), 1, gpow),))
 
 

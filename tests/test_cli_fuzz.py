@@ -12,16 +12,25 @@ ROADMAP item:
   ``ValueError``, which perfbench's own tests pin (items 1 and 6);
 - no chain is long: a chain of 1000 operands ends in ``RecursionError``
   (item 4).
+
+A second fuzz checks values: trees of ``+ - * /``, integer ``^``, numeric
+atoms and the builtins ``tri``, ``x2`` and ``card`` are evaluated by
+``perfbench/oracle.py``, which shares no code with grossone, and the printed
+value must parse back to the oracle's.
 """
 
 import contextlib
 import io
+import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grossone.cli import main
-from grossone.exprlang import BINARY_OPERATORS, BUILTINS
+from grossone.errors import NotExactlyDivisible
+from grossone.exprlang import BINARY_OPERATORS, BUILTINS, evaluate
+from perfbench import oracle
 
 ATOMS = ["0", "-1", "G^-1", "(3/2)^G", "G^(1/2)", "10^5000", "{}", "on", "zz", "G+1", "2*G"]
 EXPONENTS = ["-1", "0", "1", "2", "(1/2)", "G", "100000"]
@@ -42,16 +51,162 @@ def expressions(depth: int):
     )
 
 
+def run(flags: list, line: str):
+    """``cli.main`` in-process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(flags + ["--eval", line])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(expressions(3))
 def test_every_input_ends_in_a_documented_exit_code_with_one_line(line):
     for flags in ([], ["--json"]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(flags + ["--eval", line])
+        code, out, err = run(flags, line)
         assert code in (0, 2, 3), (line, flags, code)
         if code:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
         else:
-            assert err.getvalue() == ""
+            assert err == ""
+
+
+# -- values against the oracle -----------------------------------------------------
+
+# The refusals by size (README): none is a value the oracle can check.
+BOUND_MESSAGES = ("error: a product would need more than ", "error: a power would need more than ",
+                  "error: cannot print a number with more than ")
+#: gnum.MAX_POWER_BITS, as README states it.
+MAX_POWER_BITS = 1 << 20
+
+
+class Refused(Exception):
+    """The tree's value would be an evaluation error (exit 3)."""
+
+
+VALUE_ATOMS = [
+    ("0", {}), ("-1", oracle.const(-1)), ("3", oracle.const(3)), ("2/3", oracle.const(Fraction(2, 3))),
+    ("G^-1", oracle.num([(1, 1, -1)])), ("(3/2)^G", oracle.num([(1, Fraction(3, 2), 0)])),
+    ("(1/2)^G", oracle.num([(1, Fraction(1, 2), 0)])), ("G^(1/2)", oracle.num([(1, 1, Fraction(1, 2))])),
+    ("G+1", oracle.num([(1, 1, 1), (1, 1, 0)])), ("2*G", oracle.num([(2, 1, 1)])),
+]
+# card of a set atom by its closed form: a residue class mod n of {1..G}
+# holds G/n naturals, and the integers -G..G are 2G+1.
+SET_ATOMS = [("nat()", 1), ("evens()", 2), ("odds()", 2), ("ap(2, 3)", 3), ("ap(5, 12)", 12),
+             ("ap(4, 3)", None), ("ints()", "ints")]
+VALUE_EXPONENTS = [-1, 0, 1, 2, 3]
+
+
+def over_a_factor(a, b) -> tuple:
+    """``(a * b) / b``: a long division that must be exact where b is a sum."""
+    return ("op", "/", ("op", "*", a, b), b)
+
+
+def value_trees(depth: int):
+    """Trees as nested tuples: ("atom", text, value), ("op", symbol, left,
+    right), ("pow", base, k), ("tri", n), ("x2", k) or ("card", set atom)."""
+    leaves = st.sampled_from(VALUE_ATOMS).map(lambda a: ("atom", *a))
+    if depth == 0:
+        return leaves
+    sub = value_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.sampled_from(SET_ATOMS).map(lambda s: ("card", s)),
+        st.tuples(st.just("op"), st.sampled_from("+-*/"), sub, sub),
+        st.builds(over_a_factor, sub, sub),
+        st.tuples(st.just("pow"), sub, st.sampled_from(VALUE_EXPONENTS)),
+        st.tuples(st.sampled_from(["tri", "x2"]), sub),
+    )
+
+
+def text(tree) -> str:
+    kind = tree[0]
+    if kind == "atom":
+        return tree[1]
+    if kind == "op":
+        return f"({text(tree[2])}) {tree[1]} ({text(tree[3])})"
+    if kind == "pow":
+        return f"({text(tree[1])})^{tree[2]}"
+    if kind == "card":
+        return f"card({tree[1][0]})"
+    return f"{kind}({text(tree[1])})"
+
+
+def quotient_holds(q: dict, a: dict, b: dict) -> bool:
+    """``q * b == a``, checked modulo P at G := T, or exactly where a
+    fractional G-power has no value there."""
+    try:
+        return oracle.residue(q) * oracle.residue(b) % oracle.P == oracle.residue(a)
+    except oracle.OracleError:
+        return oracle.mul(q, b) == a
+
+
+def value(tree) -> dict:
+    """The tree's value by the oracle; raises Refused for an evaluation
+    error.  A quotient by a sum takes the library's quotient, checked."""
+    kind = tree[0]
+    if kind == "atom":
+        return tree[2]
+    if kind == "card":
+        _, n = tree[1]
+        if n is None:
+            raise Refused("residue out of range")
+        return oracle.num([(2, 1, 1), (1, 1, 0)]) if n == "ints" else oracle.num([(Fraction(1, n), 1, 1)])
+    if kind == "tri":
+        n = value(tree[1])
+        return oracle.div_monomial(oracle.mul(n, oracle.add(n, oracle.const(1))), oracle.const(2))
+    if kind == "x2":
+        k = value(tree[1])
+        a, d = k.get((1, 1), 0), k.get((1, 0), 0)
+        if set(k) - {(1, 1), (1, 0)} or Fraction(a).denominator != 1 or Fraction(d).denominator != 1:
+            raise Refused("not of the form a*G + d")
+        if a < 0 or oracle.sign(k) <= 0:
+            raise Refused("not positive")
+        if max(a, abs(d)) > MAX_POWER_BITS:
+            raise Refused("too large")
+        return oracle.sub(oracle.num([(Fraction(2) ** d, 2 ** int(a), 0)]), oracle.const(1))
+    if kind == "pow":
+        x, k = value(tree[1]), tree[2]
+        if k == 0 and not x or k < 0 and len(x) != 1:
+            raise Refused("0^0, a negative power of zero or of a sum")
+        return oracle.power(x, k)
+    a, b = value(tree[2]), value(tree[3])
+    symbol = tree[1]
+    if symbol == "+":
+        return oracle.add(a, b)
+    if symbol == "-":
+        return oracle.sub(a, b)
+    if symbol == "*":
+        return oracle.mul(a, b)
+    if not b:
+        raise Refused("division by zero")
+    if len(b) == 1 or not a:
+        return oracle.div_monomial(a, b) if a else {}
+    try:
+        q = oracle.parse(str(evaluate(text(tree))))
+    except NotExactlyDivisible:
+        # A product divided by one of its factors is exact.
+        assert tree[2][:2] != ("op", "*") or tree[2][3] != tree[3], text(tree)
+        raise Refused("not exactly divisible") from None
+    assert quotient_holds(q, a, b), text(tree)
+    return q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value_trees(3))
+def test_printed_values_equal_the_oracle(tree):
+    line = text(tree)
+    code, out, err = run([], line)
+    if err.startswith(BOUND_MESSAGES):
+        assert code == 3
+        return
+    try:
+        want = value(tree)
+    except Refused:
+        assert (code, out) == (3, ""), line
+        return
+    assert (code, err) == (0, ""), line
+    assert oracle.parse(out.rstrip("\n")) == want, line
+    code, out_json, _ = run(["--json"], line)
+    assert code == 0 and json.loads(out_json) == {"type": "number", "value": out.rstrip("\n")}

@@ -1,17 +1,21 @@
 """The kernel's int paths against the plain Fraction formulas they replace.
 
-``eval_at``, ``div_exact``, ``+``, ``-``, ``compare`` and ``*`` compute on the
-int numerators and denominators of coefficients, bases and G-powers.  The
-reference functions below do the same work with ``Fraction`` arithmetic and
-comparisons, as the kernel once did; every result must agree with them in
-value and in the type of each field.  The bounds on products and on powers of
-sums and the trailing-term refusal of long division are pinned at their
-edges; ``tests/test_gnum.py::TestEvalAt`` pins the bound on powers.
+``eval_at``, ``div_exact``, ``+``, ``-``, ``compare``, ``*`` and ``normalize``
+compute on the int numerators and denominators of coefficients, bases and
+G-powers.  The reference functions below do the same work with ``Fraction``
+arithmetic and comparisons, as the kernel once did; every result must agree
+with them in value and in the type of each field.  The kernel shares the
+bases and G-powers it builds; results must not depend on it, so operands are
+also rebuilt with fresh ``Fraction`` fields and checked again.  The bounds on
+products and on powers of sums and the trailing-term refusal of long
+division are pinned at their edges; ``tests/test_gnum.py::TestEvalAt`` pins
+the bound on powers.
 """
 
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +28,8 @@ from grossone.errors import (
     FractionalGrossPower, GrossoneError, NotExactlyDivisible, TooLarge, TooManyTerms,
 )
 from grossone.gnum import (
-    MAX_PRODUCT_TERMS, GrossNumber, compare, div_exact, normalize, pow_int,
+    KEY_BITS, MAX_PRODUCT_TERMS, GrossNumber, GrossTerm, compare, div_exact, exp_gross,
+    normalize, nth_root, pow_int,
 )
 
 from conftest import random_number
@@ -214,6 +219,13 @@ def one(c=1, base=1, gpow=0) -> GrossNumber:
     return GrossNumber((term(c, base, gpow),))
 
 
+def fresh(x: GrossNumber) -> GrossNumber:
+    """``x`` rebuilt with a new object for every Fraction field, so that it
+    shares no field with any value the kernel built."""
+    return GrossNumber(tuple(GrossTerm(*(f if type(f) is int else Fraction(f.numerator, f.denominator)
+                                         for f in t)) for t in x.terms))
+
+
 def check_against_formulas(a: GrossNumber, b: GrossNumber):
     for x, y in ((a, b), (b, a)):
         want = ref_compare(x, y)
@@ -245,8 +257,8 @@ PINNED = {
     "(1/3)*(3/2)^G, (1/2)*(3/2)^G": (one(Fraction(1, 3), Fraction(3, 2)),
                                      one(Fraction(1, 2), Fraction(3, 2)), -1),
     # Equal Fraction fields held in distinct objects.
-    "equal (3/2)^G*G^(1/2)": (one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2)),
-                              one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2)), 0),
+    "equal (3/2)^G*G^(1/2)": (fresh(one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2))),
+                              fresh(one(Fraction(5, 6), Fraction(3, 2), Fraction(1, 2))), 0),
     "sums sharing (3/2)^G*G": (normalize([term(1, Fraction(3, 2), 1), term(Fraction(1, 2))]),
                                normalize([term(1, Fraction(3, 2), 1), term(Fraction(1, 3))]), 1),
     "sums sharing 1/2": (normalize([term(1, Fraction(2, 3), 1), term(Fraction(1, 2))]),
@@ -274,7 +286,7 @@ def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_product
     these functions; a Fraction is built only for a stored field."""
     called = set()
     kernel = gnum_module.__file__
-    callers = {"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus"}
+    callers = {"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus", "normalize"}
     fractions_module = sys.modules[Fraction.__module__].__file__
 
     def profile(frame, event, arg):
@@ -295,6 +307,98 @@ def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_product
     # A difference negates each term it copies from the subtrahend, which
     # builds that stored field; it compares and multiplies nothing.
     assert {name for _, name in called} <= {"numerator", "denominator", "__neg__"}, called
+    assert ("normalize", "numerator") in called
+
+
+# -- shared bases and G-powers -----------------------------------------------------
+
+def outcomes(x: GrossNumber, y: GrossNumber) -> list:
+    """The typed terms and strings of x+y, x-y, x*y and (x*y)/y, and the order."""
+    values = [x + y, x - y, x * y] + ([div_exact(x * y, y)] if y.terms else [])
+    return [(typed(v.terms), str(v)) for v in values] + [compare(x, y)]
+
+
+def test_results_do_not_depend_on_shared_fields():
+    rng = random.Random("int-paths fresh fields")
+    operands = [(a, b) for a, b, _ in PINNED.values()]
+    operands += [tuple(random_number(rng, fractional_gpow=True, coeff_den_bound=6) for _ in range(2))
+                 for _ in range(100)]
+    for a, b in operands:
+        x, y = fresh(a), fresh(b)
+        assert all(f is not g for s, t in zip(a.terms, x.terms) for f, g in zip(s, t) if type(f) is Fraction)
+        check_against_formulas(x, y)
+        assert outcomes(x, y) == outcomes(a, b)
+
+
+def test_equal_keys_built_by_the_kernel_are_one_object(monkeypatch):
+    monkeypatch.setattr(gnum_module, "_KEYS", {})
+    half, three_halves = one(base=Fraction(1, 2)), one(base=Fraction(3, 2))
+    base = term(1, Fraction(9, 4)).base
+    bases = [
+        term(5, Fraction(9, 4), 2).base,
+        (three_halves * three_halves).terms[0].base,
+        (three_halves * (three_halves + G)).terms[0].base,
+        (one(base=Fraction(27, 8)) / three_halves).terms[0].base,
+        div_exact(one(base=base) * (three_halves + half), three_halves + half).terms[0].base,
+        pow_int(three_halves, 2).terms[0].base,
+        exp_gross(Fraction(3, 2), 2 * G).terms[0].base,
+        exp_gross(Fraction(9, 4), G).terms[0].base,
+    ]
+    assert all(b is base for b in bases), bases
+    root = one(gpow=Fraction(1, 4))
+    gpow = term(1, 1, Fraction(1, 2)).gpow
+    gpows = [
+        (root * root).terms[0].gpow,
+        (root * (root + 1)).terms[0].gpow,
+        (one(gpow=Fraction(3, 4)) / root).terms[0].gpow,
+        pow_int(root, 2).terms[0].gpow,
+        nth_root(G, 2).terms[0].gpow,
+    ]
+    assert all(p is gpow for p in gpows), gpows
+
+
+def test_the_key_cache_is_bounded(monkeypatch):
+    keys = {}
+    monkeypatch.setattr(gnum_module, "_KEYS", keys)
+    for n in range(1, 3 * gnum_module.KEYS_MAX):
+        x = one(base=Fraction(2 * n + 1, 2)) * one(base=Fraction(1, 3))
+        assert x.terms[0].base == Fraction(2 * n + 1, 6)
+        assert 0 < len(keys) <= gnum_module.KEYS_MAX
+    keys.clear()
+    wide = Fraction(10**5000, 3)
+    for x in (one(base=wide), exp_gross(wide, G), one(base=wide) * one(base=Fraction(1, 2)),
+              one(gpow=wide) * one(gpow=Fraction(1, 2))):
+        assert x.terms[0].key in ((wide, 0), (wide / 2, 0), (1, wide + Fraction(1, 2)))
+    assert all(abs(n).bit_length() <= KEY_BITS and d.bit_length() <= KEY_BITS for n, d in keys)
+
+
+def test_the_key_cache_stays_bounded_across_threads(monkeypatch):
+    keys = {}
+    monkeypatch.setattr(gnum_module, "_KEYS", keys)
+    monkeypatch.setattr(gnum_module, "KEYS_MAX", 16)
+    errors = []
+
+    def build(offset):
+        try:
+            for n in range(offset, offset + 4000):
+                b = Fraction(2 * n + 1, 2)
+                assert (one(base=b) * one(base=Fraction(1, 3))).terms[0].base == b / 3
+                assert len(keys) <= 16
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(10000 * i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 # -- long division: the trailing-term refusal -------------------------------------
@@ -369,7 +473,9 @@ class TestProductBound:
 
 
 class TestPowerOfSumBound:
-    """pow_int of a sum refuses a product of its squaring loop when the
+    """pow_int of a sum refuses at once when the first or last term of the
+    power, that term of the base to the k-th power, would pass
+    MAX_POWER_BITS; then it refuses a product of its squaring loop when the
     bits of the two factors' largest fields, plus those of the smaller term
     count, pass MAX_POWER_BITS."""
 
@@ -388,11 +494,32 @@ class TestPowerOfSumBound:
         monkeypatch.setattr(GrossNumber, "__mul__", lambda a, b: products.append(
             gnum_module._field_bits(a) + gnum_module._field_bits(b)) or mul(a, b))
         monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 1 << 14)
+        # The end terms of this power are G^2000 and 1; only a middle
+        # coefficient is large.
         with pytest.raises(TooLarge) as info:
-            pow_int(10**200 * G + 1, 1000)
+            pow_int(G**2 + 10**200 * G + 1, 1000)
         assert str(info.value) == "a power would need more than 16384 bits"
         # The squares reach 2^4 * 665 bits; the next one is refused.
         assert len(products) == 5 and max(products) <= 1 << 14
+        # Here the end term 10^200000*G^1000 is refused before any product.
+        products.clear()
+        with pytest.raises(TooLarge):
+            pow_int(10**200 * G + 1, 1000)
+        assert products == []
+
+    @pytest.mark.parametrize("base", [1024 * G + 1, G + 1024, exp_gross(1024, G) + 1],
+                             ids=["first coefficient", "last coefficient", "first base"])
+    def test_the_end_terms_are_checked_before_the_first_product(self, monkeypatch, base):
+        # The cube's end term holds 1024^3, which needs 30 bits by the bound.
+        checked = []
+        check = gnum_module._check_product
+        monkeypatch.setattr(gnum_module, "_check_product", lambda x, y: checked.append(1) or check(x, y))
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 29)
+        with pytest.raises(TooLarge):
+            pow_int(base, 3)
+        assert checked == []
+        monkeypatch.setattr(gnum_module, "MAX_POWER_BITS", 64)
+        assert pow_int(base, 3) == base * base * base and checked
 
     def test_a_sum_of_fractions_counts_its_denominators(self, monkeypatch):
         x = Fraction(1, 2**600) * G + 1

@@ -7,7 +7,8 @@ in ``x``, so ``*``, ``pow_int`` and ``div_exact`` can be checked against
 ``sympy.Poly`` arithmetic.  Numbers with exponential bases and fractional
 G-powers are Laurent polynomials in more variables (see below), and are
 checked the same way.  The order is checked against the limit of the sign of
-the difference as G, read as an integer variable, grows without bound.
+the difference as G, read as an integer variable, grows without bound.  The
+series are checked against ``sympy.summation`` at gross counts.
 """
 
 import random
@@ -17,8 +18,9 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grossone import GrossNumber, compare, div_exact, normalize, pow_int, term
-from grossone.errors import NotExactlyDivisible
+from grossone import G, GrossNumber, compare, div_exact, normalize, pow_int, term
+from grossone.errors import ExponentNotLinearInGrossone, NotExactlyDivisible
+from grossone.series import ap_sum, geometric, powers_of_two_sum, triangular
 
 from conftest import random_number
 
@@ -223,3 +225,38 @@ def test_order_is_the_limit_of_the_sign_of_the_difference(seed):
     scale = max([Fraction(t.base) for t in a.terms + b.terms], default=Fraction(1))
     difference = function_of_x(a, scale) - function_of_x(b, scale)
     assert compare(a, b) == sympy.limit(sympy.sign(difference), X, sympy.oo)
+
+
+# -- the series against sympy.summation ---------------------------------------------
+#
+# Each series sums its addends over k = 1..x; sympy gives the sum in closed
+# form, and x is then replaced by the count read in G.  G is declared even,
+# as G is divisible by every finite n, so sympy's (-1)^x decides the sign of
+# geo's negative ratio as the parity of the count does.
+
+G_SYM = sympy.Symbol("G", positive=True, integer=True, even=True)
+K = sympy.Symbol("k", positive=True, integer=True)
+COUNTS = {"G": (G, G_SYM), "G/2": (G / 2, G_SYM / 2), "2G+1": (2 * G + 1, 2 * G_SYM + 1)}
+SERIES = {
+    "tri": (triangular, K),
+    "x2": (powers_of_two_sum, 2 ** (K - 1)),
+    "geo(-2/3)": (lambda n: geometric(Fraction(-2, 3), n), sympy.Rational(-2, 3) ** K),
+    "geo(3)": (lambda n: geometric(3, n), sympy.Integer(3) ** K),
+    "ap_sum(5, -3)": (lambda n: ap_sum(5, -3, n), 5 - 3 * (K - 1)),
+    "ap_sum(1/2, G)": (lambda n: ap_sum(Fraction(1, 2), G, n), sympy.Rational(1, 2) + G_SYM * (K - 1)),
+}
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("name", SERIES)
+def test_series_equal_sympy_summation(name, count):
+    series, addend = SERIES[name]
+    n, x = COUNTS[count]
+    if count == "G/2" and name.startswith(("x2", "geo")):
+        # 2^(G/2) has the base sqrt(2): no gross-number holds it, and the
+        # exponent is refused as not of the form a*G + d with integers a, d.
+        with pytest.raises(ExponentNotLinearInGrossone):
+            series(n)
+        return
+    closed = sympy.summation(addend, (K, 1, X)).subs(X, x)
+    assert sympy.simplify(function_of_x(series(n), Fraction(1)).subs(X, G_SYM) - closed) == 0
