@@ -45,6 +45,7 @@ from .gnum import (
     Parity,
     exp_gross,
     gnum,
+    normalize,
     nth_root,
     pow_int,
 )
@@ -493,12 +494,40 @@ def _eval_power(left: Value, right: Value) -> GrossNumber:
     return exp_gross(left.as_rational(), right)
 
 
+_SUMS = ("+", "-")
+
+
+def _sum_terms(expr: Binary, terms: list) -> None:
+    """Append the terms of the ``+``/``-`` chain ``expr`` to ``terms``, left
+    to right, those of each ``-`` operand negated.  One frame per operand,
+    and each operand is checked as the dunders' chain would check it."""
+    op, left, right = expr.op, expr.left, expr.right
+    if type(left) is Binary and left.op in _SUMS:
+        _sum_terms(left, terms)
+    else:
+        lv = left.value if type(left) is Literal else eval_expr(left)
+        terms += (lv if type(lv) is GrossNumber else _number(op, 1, lv)).terms
+    rv = right.value if type(right) is Literal else eval_expr(right)
+    if type(rv) is not GrossNumber:
+        rv = _number(op, 2, rv)
+    if op == "-":
+        terms += [(-c, b, p) for c, b, p in rv.terms]
+    else:
+        terms += rv.terms
+
+
 def eval_expr(expr: Expr) -> Value:
     # One frame per tree level above the leaves: a Literal child's value is
     # read in place.  The most frequent node classes are tested first.
     cls = type(expr)
     if cls is Binary:
         op, left, right = expr.op, expr.left, expr.right
+        if type(left) is Binary and op in _SUMS and left.op in _SUMS:
+            # A chain of three or more operands: one normalize of all their
+            # terms in place of a merge per operand.
+            terms = []
+            _sum_terms(expr, terms)
+            return normalize(terms)
         lv = left.value if type(left) is Literal else eval_expr(left)
         if op == "^":
             return _eval_power(lv, right.value if type(right) is Literal else eval_expr(right))

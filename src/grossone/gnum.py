@@ -329,7 +329,7 @@ class GrossNumber:
     def sign(self) -> int:
         if not self.terms:
             return 0
-        return 1 if self.terms[0].coeff > 0 else -1
+        return 1 if self.terms[0].coeff.numerator > 0 else -1
 
     __eq__ = _operator(lambda a, b: a.terms == b.terms)
     __lt__ = _operator(lambda a, b: compare(a, b) < 0)
@@ -471,7 +471,9 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
     """Merge equal keys, drop zero coefficients, sort descending; idempotent.
 
     The builder for terms in any order, such as the pairwise products of
-    ``*``; ``+`` merges two canonical tuples without it.  ``raw`` yields
+    ``*`` and the operands' terms of a chain of three or more ``+``/``-``
+    operands in the expression language; ``+`` of two numbers merges their
+    canonical tuples without it.  ``raw`` yields
     ``(coeff, base, gpow)`` triples, such as :class:`GrossTerm`, of ``int``s
     and ``Fraction``s; the result holds them in canonical form.
     """
@@ -793,17 +795,20 @@ def _coeff_str(c: RationalLike) -> str:
 
 
 def _term_str(t: GrossTerm) -> str:
-    # Renders |coeff| * factors; the caller supplies the sign.
-    c = abs(t.coeff)
+    # Renders |coeff| * factors; the caller supplies the sign.  Each field is
+    # read as its numerator and denominator, so no Fraction method runs: a
+    # reduced n/d is 1 exactly when n == d.
+    c, b, p = t
+    n, d = abs(c.numerator), c.denominator
     factors = []
-    if t.base != 1:
-        factors.append(_coeff_str(t.base) + "^G")
-    if t.gpow != 0:
-        factors.append("G" if t.gpow == 1 else "G^" + _coeff_str(t.gpow))
+    if b.numerator != b.denominator:
+        factors.append(_coeff_str(b) + "^G")
+    if p.numerator:
+        factors.append("G" if p.numerator == p.denominator else "G^" + _coeff_str(p))
     if not factors:
-        return str(c)
-    if c != 1:
-        factors.insert(0, _coeff_str(c))
+        return str(n) if d == 1 else f"{n}/{d}"
+    if n != d:
+        factors.insert(0, str(n) if d == 1 else f"({n}/{d})")
     return "*".join(factors)
 
 
@@ -813,9 +818,9 @@ def format_number(a: GrossNumber) -> str:
         return "0"
     first = a.terms[0]
     try:
-        out = ("-" if first.coeff < 0 else "") + _term_str(first)
+        out = ("-" if first.coeff.numerator < 0 else "") + _term_str(first)
         for t in a.terms[1:]:
-            out += " - " if t.coeff < 0 else " + "
+            out += " - " if t.coeff.numerator < 0 else " + "
             out += _term_str(t)
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise TooManyDigits() from None

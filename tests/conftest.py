@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from grossone import GrossNumber, eval_at, normalize, term
 from grossone.sets import AdjustedSet, EmptySet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_POOL = [
     Fraction(1),
@@ -42,6 +45,11 @@ def random_number(
             gpow = Fraction(rng.randint(-6, 6))
         terms.append(term(Fraction(num, den), base, gpow))
     return normalize(terms)
+
+
+def typed(terms) -> list:
+    """Terms with the type of each field, so that 2 and Fraction(2) differ."""
+    return [tuple((type(f), f) for f in t) for t in terms]
 
 
 def sign_stabilizes(diff: GrossNumber, needed: int = 3, t_max: int = 2**20) -> bool:

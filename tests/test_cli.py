@@ -344,6 +344,18 @@ class TestMixedChains:
         ("1 - card(nat()) * x", "error: unknown identifier 'x'\n"),
         ("2 + 3 - nat() ^ 2", "error: ^: argument 1: expected a number\n"),
         ("G - {1,2}", "error: -: argument 2: expected a number\n"),
+        # Four operands: the first is argument 1 of its operator and is
+        # checked before the next is evaluated; every other is argument 2.
+        ("nat() + 1 + 2 + 3", "error: +: argument 1: expected a number\n"),
+        ("nat() - (1/0) + 2 + 3", "error: -: argument 1: expected a number\n"),
+        ("{1} - x + 3 + 4", "error: -: argument 1: expected a number\n"),
+        ("1 + 2 - nat() + 3", "error: -: argument 2: expected a number\n"),
+        ("1 + 2 - nat() + (1/0)", "error: -: argument 2: expected a number\n"),
+        ("G - (1/0) + nat() - x", "error: division by zero\n"),
+        ("G + 1 - 2 + parity(G)", "error: +: argument 2: expected a number\n"),
+        ("1 - 2 + 3 - {1,2}", "error: -: argument 2: expected a number\n"),
+        ("1 + 2 + 3 - x", "error: unknown identifier 'x'\n"),
+        ("1 + nat() + 3 < x", "error: +: argument 2: expected a number\n"),
     ])
     @pytest.mark.parametrize("flags", [(), ("--json",)])
     def test_the_first_error_is_reported(self, capsys, flags, line, err):

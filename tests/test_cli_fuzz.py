@@ -9,9 +9,9 @@ power of a sum.  The grammar leaves out two known escapes, each an open
 ROADMAP item:
 
 - ``grandi`` is not drawn: with a count of at most zero it raises a bare
-  ``ValueError``, which perfbench's own tests pin (items 1 and 6);
+  ``ValueError``, which perfbench's own tests pin (items 1 and 3);
 - no chain is long: a chain of 1000 operands ends in ``RecursionError``
-  (item 4).
+  (items 2 and 3).
 
 A second fuzz checks values: trees of ``+ - * /``, integer ``^``, numeric
 atoms and the builtins ``tri``, ``x2`` and ``card`` are evaluated by

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -38,12 +39,13 @@ from grossone.exprlang import (
     value_json,
 )
 from grossone import exprlang
-from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity, gnum
+from grossone.gnum import GROSSONE, GrossNumber, NumberClass, Parity, format_number, gnum
+from grossone.gnum import normalize as gnum_normalize
 from grossone.paradoxes import ParadoxReport
 from grossone.series import RamanujanAudit
 from grossone.sets import EMPTY, AdjustedSet, EmptySet, GrossAP, RootCount
 
-from conftest import random_number
+from conftest import SRC, random_number, typed
 
 
 class TestTokenize:
@@ -387,6 +389,70 @@ class TestRecursionHeadroom:
         for i in range(1, self.N):
             expected = expected + (1 if i % 2 == 0 else -1) * i * GROSSONE ** (i % 3)
         assert evaluate(text) == expected
+
+    def test_a_990_operand_chain_evaluates_in_the_cli(self):
+        # Outside pytest's frames: the headroom a command line has.
+        p = subprocess.run([sys.executable, "-m", "grossone.cli", "--eval", " + ".join(["G"] * 990)],
+                           env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60)
+        assert (p.returncode, p.stdout, p.stderr) == (0, "990*G\n", "")
+
+
+class TestChainFold:
+    """A ``+``/``-`` chain of three or more operands is summed with one
+    ``normalize`` of all its operands' terms; it gives what the pairwise
+    dunders give, term for term and string for string."""
+
+    @staticmethod
+    def pairwise(values, ops) -> GrossNumber:
+        out = values[0]
+        for op, v in zip(ops, values[1:]):
+            out = out + v if op == "+" else out - v
+        return out
+
+    def operands(self, rng: random.Random):
+        """3 to 12 numbers with their operators; some chains cancel to 0."""
+        values = [random_number(rng, max_terms=4, coeff_bound=30, fractional_gpow=True,
+                                coeff_den_bound=6) for _ in range(rng.randint(3, 12))]
+        for i in range(1, len(values)):
+            if rng.random() < 0.2:
+                values[i] = rng.choice(values[:i])  # a repeat, which a "-" cancels
+        ops = [rng.choice("+-") for _ in values[1:]]
+        if rng.random() < 0.3:
+            # The last operand is the sum so far, subtracted: the chain is 0.
+            values[-1], ops[-1] = self.pairwise(values[:-1], ops[:-1]), "-"
+        return values, ops
+
+    def test_random_chains_equal_the_pairwise_fold(self):
+        rng = random.Random("chain fold")
+        zeros = 0
+        for _ in range(300):
+            values, ops = self.operands(rng)
+            want = self.pairwise(values, ops)
+            tree = Literal(values[0])
+            for op, v in zip(ops, values[1:]):
+                tree = Binary(op, tree, Literal(v))
+            got = eval_expr(tree)
+            assert typed(got.terms) == typed(want.terms)
+            assert format_number(got) == format_number(want)
+            text = f"({values[0]})" + "".join(f" {op} ({v})" for op, v in zip(ops, values[1:]))
+            assert print_value(evaluate(text)) == format_number(want)
+            zeros += not want
+        assert zeros > 50
+
+    def test_bases_fractions_and_bracketed_chains(self):
+        text = "(3/2)^G*G^(1/2) - (1/3)*G + (2/3)^G - (1/2)*(3/2)^G*G^(1/2) - (G - (1/3)*G + 1 - 1)"
+        assert print_value(evaluate(text)) == "(1/2)*(3/2)^G*G^(1/2) - G + (2/3)^G"
+        assert print_value(evaluate("G^(1/2) - G^(1/2) + (2/3)^G - (2/3)^G")) == "0"
+
+    def test_one_normalize_per_chain_and_none_for_two_operands(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exprlang, "normalize", lambda raw: calls.append(raw) or gnum_normalize(raw))
+        assert print_value(evaluate("G + 2")) == "G + 2" and calls == []
+        assert print_value(evaluate("G + 2 - (1/2)*G + G^-1")) == "(1/2)*G + 2 + G^-1"
+        assert len(calls) == 1
+        # A bracketed chain on the right is summed by itself, then its terms join.
+        assert print_value(evaluate("G - (1 + 2 + G) + 3")) == "0"
+        assert len(calls) == 3
 
 
 class TestValues:

@@ -18,7 +18,6 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -32,9 +31,7 @@ from grossone.gnum import (
     normalize, nth_root, pow_int,
 )
 
-from conftest import random_number
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import SRC, random_number, typed
 
 
 # -- the Fraction formulas -------------------------------------------------------
@@ -103,11 +100,6 @@ def ref_div_exact(a: GrossNumber, b: GrossNumber):
         quotient.append(t)
         rest = rest - normalize([t]) * b
     return quotient, None
-
-
-def typed(terms) -> list:
-    """Terms with the type of each field, so that 2 and Fraction(2) differ."""
-    return [tuple((type(f), f) for f in t) for t in terms]
 
 
 def assert_canonical(x: GrossNumber):
@@ -281,12 +273,11 @@ def test_equal_fields_in_distinct_objects_merge():
     assert str(a * b) == "(25/36)*(9/4)^G*G"
 
 
-def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_products():
-    """Only the numerator and denominator properties of a Fraction run from
-    these functions; a Fraction is built only for a stored field."""
+def fraction_calls(callers: set, run) -> set:
+    """The ``(caller, Fraction function)`` pairs called from the kernel
+    functions named in ``callers`` while ``run()`` runs."""
     called = set()
     kernel = gnum_module.__file__
-    callers = {"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus", "normalize"}
     fractions_module = sys.modules[Fraction.__module__].__file__
 
     def profile(frame, event, arg):
@@ -295,19 +286,45 @@ def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_product
             if caller.co_filename == kernel and caller.co_name in callers:
                 called.add((caller.co_name, frame.f_code.co_name))
 
-    rng = random.Random("int-paths profile")
-    operands = [random_number(rng, fractional_gpow=True, coeff_den_bound=6) for _ in range(60)]
-    operands += [a for a, b, _ in PINNED.values()] + [b for a, b, _ in PINNED.values()]
     sys.setprofile(profile)
     try:
-        for x, y in zip(operands, operands[1:]):
-            x + y, x - y, x * y, compare(x, y), x < y, x == y
+        run()
     finally:
         sys.setprofile(None)
+    return called
+
+
+def profiled_operands(seed: str) -> list:
+    rng = random.Random(seed)
+    operands = [random_number(rng, fractional_gpow=True, coeff_den_bound=6) for _ in range(60)]
+    return operands + [a for a, b, _ in PINNED.values()] + [b for a, b, _ in PINNED.values()]
+
+
+def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_products():
+    """Only the numerator and denominator properties of a Fraction run from
+    these functions; a Fraction is built only for a stored field."""
+    operands = profiled_operands("int-paths profile")
+
+    def run():
+        for x, y in zip(operands, operands[1:]):
+            x + y, x - y, x * y, compare(x, y), x < y, x == y
+
+    called = fraction_calls({"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus", "normalize"}, run)
     # A difference negates each term it copies from the subtrahend, which
     # builds that stored field; it compares and multiplies nothing.
     assert {name for _, name in called} <= {"numerator", "denominator", "__neg__"}, called
     assert ("normalize", "numerator") in called
+
+
+def test_no_fraction_method_but_numerator_and_denominator_in_format_and_sign():
+    """Strings and signs read each field's numerator and denominator; no
+    Fraction is compared, negated or built on the output path."""
+    operands = profiled_operands("int-paths format profile")
+    operands += [-x for x in operands]
+    called = fraction_calls({"format_number", "_term_str", "_coeff_str", "sign"},
+                            lambda: [(str(x), x.sign()) for x in operands])
+    assert {name for _, name in called} == {"numerator", "denominator"}, called
+    assert ("_term_str", "numerator") in called and ("sign", "numerator") in called
 
 
 # -- shared bases and G-powers -----------------------------------------------------

@@ -6,9 +6,10 @@ A base-1 number is a Laurent polynomial in G.  Shifting its G-powers up by
 in ``x``, so ``*``, ``pow_int`` and ``div_exact`` can be checked against
 ``sympy.Poly`` arithmetic.  Numbers with exponential bases and fractional
 G-powers are Laurent polynomials in more variables (see below), and are
-checked the same way.  The order is checked against the limit of the sign of
-the difference as G, read as an integer variable, grows without bound.  The
-series are checked against ``sympy.summation`` at gross counts.
+checked the same way, sums and the language's chains of sums too.  The order
+is checked against the limit of the sign of the difference as G, read as an
+integer variable, grows without bound.  The series are checked against
+``sympy.summation`` at gross counts.
 """
 
 import random
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from grossone import G, GrossNumber, compare, div_exact, normalize, pow_int, term
 from grossone.errors import ExponentNotLinearInGrossone, NotExactlyDivisible
+from grossone.exprlang import Binary, Literal, eval_expr
 from grossone.series import ap_sum, geometric, powers_of_two_sum, triangular
 
 from conftest import random_number
@@ -187,6 +189,41 @@ def test_exact_division_with_bases(seed, multiple):
     assert r.is_zero
     assert laurent(got, L) == unshift(q, tuple(x - y for x, y in zip(la, lb)))
     assert not multiple or got == c
+
+
+def laurent_sum(numbers, signs) -> dict:
+    """sympy's sum of ``sign * n`` over the numbers, as a Laurent dict: each
+    polynomial is moved from its own shift to the least one before adding."""
+    nonzero = [(n, s) for n, s in zip(numbers, signs) if n]
+    if not nonzero:
+        return {}
+    L = denominators_lcm(*numbers)
+    polys = [(as_poly(laurent(n, L)), s) for n, s in nonzero]
+    low = tuple(min(lo[k] for (_, lo), _ in polys) for k in range(len(GENS)))
+    total = sympy.Poly(0, *GENS, domain=sympy.QQ)
+    for (p, lo), s in polys:
+        monomial = sympy.Poly.from_dict({tuple(a - m for a, m in zip(lo, low)): 1}, *GENS, domain=sympy.QQ)
+        total += p * monomial * s
+    return unshift(total, low)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers())
+def test_sums_with_bases(seed):
+    # +, - and a five-operand chain of the expression language, whose terms
+    # are summed by one normalize; a repeated operand cancels when subtracted.
+    rng = random.Random(seed)
+    values = [with_bases(rng) for _ in range(5)]
+    values[rng.randint(2, 4)] = values[rng.randint(0, 1)]
+    signs = [1] + [rng.choice((1, -1)) for _ in values[1:]]
+    a, b = values[:2]
+    L = denominators_lcm(a, b)
+    assert laurent(a + b, L) == laurent_sum((a, b), (1, 1))
+    assert laurent(a - b, L) == laurent_sum((a, b), (1, -1))
+    chain = Literal(values[0])
+    for v, s in zip(values[1:], signs[1:]):
+        chain = Binary("+" if s > 0 else "-", chain, Literal(v))
+    assert laurent(eval_expr(chain), denominators_lcm(*values)) == laurent_sum(values, signs)
 
 
 # -- the order: the limit of the sign of the difference --------------------------
