@@ -479,10 +479,9 @@ BUILTINS = {
 def _eval_power(left: Value, right: Value) -> GrossNumber:
     if type(right) is not GrossNumber:
         right = _number("^", 2, right)
-    terms = right.terms
     # A rational exponent is zero or one term with neither B^G nor G: its coefficient.
-    if not terms or (len(terms) == 1 and terms[0].base == 1 and terms[0].gpow == 0):
-        r = terms[0].coeff if terms else 0
+    if not right or (len(right) == 1 and right[0].base == 1 and right[0].gpow == 0):
+        r = right[0].coeff if right else 0
         if type(left) is not GrossNumber:
             left = _number("^", 1, left)
         # An integral exponent goes to pow_int directly; any other is a root.
@@ -506,14 +505,14 @@ def _sum_terms(expr: Binary, terms: list) -> None:
         _sum_terms(left, terms)
     else:
         lv = left.value if type(left) is Literal else eval_expr(left)
-        terms += (lv if type(lv) is GrossNumber else _number(op, 1, lv)).terms
+        terms.extend(lv if type(lv) is GrossNumber else _number(op, 1, lv))
     rv = right.value if type(right) is Literal else eval_expr(right)
     if type(rv) is not GrossNumber:
         rv = _number(op, 2, rv)
     if op == "-":
-        terms += [(-c, b, p) for c, b, p in rv.terms]
+        terms += [(-c, b, p) for c, b, p in rv]
     else:
-        terms += rv.terms
+        terms.extend(rv)
 
 
 def eval_expr(expr: Expr) -> Value:

@@ -10,6 +10,11 @@ integral and a ``Fraction`` only otherwise (never a float or a bool).  A larger
 base always dominates (exponential growth beats any power of G); for equal
 bases the larger power of G dominates.
 
+A :class:`GrossNumber` is the tuple of its canonical terms, each a
+:class:`GrossTerm`: ``len`` counts them, iteration and indexing give them from
+the leading term down, and the empty tuple is zero.  The ``terms`` property
+gives the same terms as a plain ``tuple``.
+
 Everything here is immutable and every operation is a pure function, so values
 can be shared freely across threads.  The one shared state is the cache of
 bases and G-powers behind ``_key``, on which no result depends.
@@ -183,19 +188,18 @@ def _operator(fn):
     return method
 
 
-def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNumber":
-    """``a + b``, or ``a - b``, by one merge of the two canonical term tuples.
+def _add(x: "GrossNumber", y: "GrossNumber", subtract: bool = False) -> "GrossNumber":
+    """``x + y``, or ``x - y``, by one merge of the two canonical term tuples.
 
     Both tuples descend by ``(base, gpow)``, so the sum is column addition:
-    an unmatched term is kept as it is (negated when it is taken from ``b``
+    an unmatched term is kept as it is (negated when it is taken from ``y``
     of a difference), and the coefficients of equal keys are added or
     subtracted, with the term dropped when they cancel.
     """
-    x, y = a.terms, b.terms
     if not y:
-        return a
+        return x
     if not x:
-        return -b if subtract else b
+        return -y if subtract else y
     out = []
     n, m = len(x), len(y)
     i = j = 0
@@ -242,7 +246,7 @@ def _add(a: "GrossNumber", b: "GrossNumber", subtract: bool = False) -> "GrossNu
             t = y[j]
     out += x[i:]
     out += [_new(GrossTerm, (-t[0], t[1], t[2])) for t in y[j:]] if subtract else y[j:]
-    return GrossNumber(tuple(out))
+    return GrossNumber(out)
 
 
 def _times(u: RationalLike, v: RationalLike, ratio=_ratio) -> RationalLike:
@@ -269,52 +273,113 @@ def _plus(u: RationalLike, v: RationalLike) -> RationalLike:
                 u.denominator * v.denominator)
 
 
-class GrossNumber:
-    """Canonical finite sum of :class:`GrossTerm`; the empty sum is zero."""
+def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
+    """Exact quotient of gross-numbers.
 
-    __slots__ = ("terms",)
+    A single-term divisor divides every term directly.  Otherwise graded long
+    division runs in descending key order and must leave remainder zero; the
+    quotient-term bounds below make inexactness detectable in finitely many
+    steps.  No approximate expansion (e.g. of ``1/(G+1)``) is ever produced.
+    Fields are computed on int numerators and denominators; a ``Fraction``
+    is built only for one that is not integral.
+    """
+    if not b:
+        raise DivisionByZero("division by zero")
+    if not a:
+        return ZERO
+    lc, lb, lp = b[0]
+    lcn, lcd, lbn, lbd = lc.numerator, lc.denominator, lb.numerator, lb.denominator
+    nlp = -lp
+    if len(b) == 1:
+        return GrossNumber([_new(GrossTerm, (
+            _ratio(c.numerator * lcd, c.denominator * lcn),
+            B if lbn == lbd else _key(B.numerator * lbd, B.denominator * lbn),
+            _plus(p, nlp))) for c, B, p in a])
 
-    def __init__(self, terms: Tuple[GrossTerm, ...]):
-        object.__setattr__(self, "terms", terms)
+    # For an exact quotient q the extreme layers of a = q*b cannot cancel,
+    # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
+    # G-power in [minP(a)-minP(b), maxP(a)-maxP(b)].  A candidate outside
+    # either interval proves the division inexact.  Terms are sorted by base
+    # first, so the extreme bases are the end terms; the base bounds are
+    # kept as int pairs (lo_n/lo_d, hi_n/hi_d) with positive denominators.
+    lo_a, lo_b, hi_a = a[-1][1], b[-1][1], a[0][1]
+    lo_n, lo_d = lo_a.numerator * lo_b.denominator, lo_a.denominator * lo_b.numerator
+    hi_n, hi_d = hi_a.numerator * lbd, hi_a.denominator * lbn
+    pow_lo = min([t[2] for t in a]) - min([t[2] for t in b])
+    pow_hi = max([t[2] for t in a]) - max([t[2] for t in b])
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"a GrossNumber cannot be changed: {name!r}")
+    tail = [(c.numerator, c.denominator, B, B.numerator, B.denominator, p) for c, B, p in b[1:]]
+    low = a[-1]
+    quotient: list = []
+    rest = a
+    while rest:
+        # Trailing-term refusal, the cheap half of bidirectional exact
+        # division (Krandick and Jebelean, 1996).  The key order is
+        # compatible with multiplication, so the lowest term of a product
+        # q*b is q_low * b_low, with no cancellation.  While an exact
+        # division runs, rest equals the quotient terms not yet found times
+        # b, and q_low is among them; so rest's lowest term is always a's.
+        if rest[-1] != low:
+            raise NotExactlyDivisible(a, b)
+        # The next quotient term c/lc * (B/lb)^G * G^(p-lp), as cn/cd, bn/bd.
+        c, B, p = rest[0]
+        cn, cd = c.numerator * lcd, c.denominator * lcn
+        bn, bd = B.numerator * lbd, B.denominator * lbn
+        p = _plus(p, nlp)
+        if not (lo_n * bd <= bn * lo_d and bn * hi_d <= hi_n * bd and pow_lo <= p <= pow_hi):
+            raise NotExactlyDivisible(a, b)
+        qb = _key(bn, bd)
+        quotient.append(_new(GrossTerm, (_ratio(cn, cd), qb, p)))
+        # rest - t*b in one merge.  t*lead cancels rest's lead term exactly,
+        # and scaling by t (a positive base) keeps the key order of b's tail,
+        # so -(t * tail) is canonical as built.  Where either base is 1 the
+        # product base is the other one.
+        rest = GrossNumber(rest[1:]) + GrossNumber([_new(GrossTerm, (
+            _ratio(-cn * tcn, cd * tcd),
+            tb if bn == bd else qb if tbn == tbd else _key(bn * tbn, bd * tbd),
+            p + tp if type(p) is int and type(tp) is int else _plus(p, tp)))
+            for tcn, tcd, tb, tbn, tbd, tp in tail])
+    # The lead key of ``rest`` falls at every step, so the quotient terms
+    # are already distinct, descending and nonzero.
+    return GrossNumber(quotient)
 
-    __delattr__ = __setattr__
 
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through __init__, not __setattr__.
-        return GrossNumber, (self.terms,)
+class GrossNumber(tuple):
+    """Canonical finite sum: the tuple of its :class:`GrossTerm` items, built
+    from terms already in canonical form; the empty sum is zero."""
+
+    __slots__ = ()
+
+    terms = property(tuple, doc="The terms as a plain ``tuple``.")
 
     # -- ring structure -------------------------------------------------
 
     __add__ = __radd__ = _operator(_add)
     __sub__ = _operator(lambda a, b: _add(a, b, True))
     __rsub__ = _operator(lambda a, b: _add(b, a, True))
-    __truediv__ = _operator(lambda a, b: div_exact(a, b))
+    __truediv__ = _operator(div_exact)
     __rtruediv__ = _operator(lambda a, b: div_exact(b, a))
 
     @_operator
     def __mul__(self, other):
-        x, y = self.terms, other.terms
-        if len(x) == 1 == len(y):
+        if len(self) == 1 == len(other):
             # A product of nonzero coefficients is nonzero and a product of
             # positive bases is positive: one canonical term, with no merge.
-            (ca, ba, pa), (cb, bb, pb) = x[0], y[0]
+            (ca, ba, pa), (cb, bb, pb) = self[0], other[0]
             return GrossNumber((_new(GrossTerm, (_times(ca, cb), _times(ba, bb, _key), _plus(pa, pb))),))
-        if len(x) * len(y) > MAX_PRODUCT_TERMS:
+        if len(self) * len(other) > MAX_PRODUCT_TERMS:
             raise TooManyTerms(MAX_PRODUCT_TERMS)
         # Two int fields multiply, or add, inline; any other pair takes the
         # helper, so a Fraction base is never compared with the base 1.
         return normalize((ca * cb if type(ca) is int and type(cb) is int else _times(ca, cb),
                           ba * bb if type(ba) is int and type(bb) is int else _times(ba, bb, _key),
                           pa + pb if type(pa) is int and type(pb) is int else _plus(pa, pb))
-                         for ca, ba, pa in x for cb, bb, pb in y)
+                         for ca, ba, pa in self for cb, bb, pb in other)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GrossNumber":
-        return GrossNumber(tuple([_new(GrossTerm, (-c, b, p)) for c, b, p in self.terms]))
+        return GrossNumber([_new(GrossTerm, (-c, b, p)) for c, b, p in self])
 
     def __pow__(self, k):
         # p/q as the language's ^ takes it: an exact power, then a q-th root.
@@ -327,11 +392,13 @@ class GrossNumber:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        if not self.terms:
+        if not self:
             return 0
-        return 1 if self.terms[0].coeff.numerator > 0 else -1
+        return 1 if self[0].coeff.numerator > 0 else -1
 
-    __eq__ = _operator(lambda a, b: a.terms == b.terms)
+    # tuple's own != would answer gnum(3) != 3 with True.
+    __eq__ = _operator(tuple.__eq__)
+    __ne__ = _operator(tuple.__ne__)
     __lt__ = _operator(lambda a, b: compare(a, b) < 0)
     __le__ = _operator(lambda a, b: compare(a, b) <= 0)
     __gt__ = _operator(lambda a, b: compare(a, b) > 0)
@@ -341,33 +408,30 @@ class GrossNumber:
         # Equal values hash alike, and a finite pure number equals its rational.
         if self.classify() in (NumberClass.ZERO, NumberClass.FINITE_PURE):
             return hash(self.as_rational())
-        return hash(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return tuple.__hash__(self)
 
     # -- structure queries ---------------------------------------------
 
     def classify(self) -> NumberClass:
-        if not self.terms:
+        if not self:
             return NumberClass.ZERO
-        _, base, gpow = self.terms[0]  # the lead term decides, as key (base, gpow) orders
+        _, base, gpow = self[0]  # the lead term decides, as key (base, gpow) orders
         if base > 1 or (base == 1 and gpow > 0):
             return NumberClass.INFINITE
         if base == 1 and gpow == 0:
-            if len(self.terms) > 1:
+            if len(self) > 1:
                 return NumberClass.FINITE_WITH_INFINITESIMAL_PART
             return NumberClass.FINITE_PURE
         return NumberClass.INFINITESIMAL
 
     def infinite_part(self) -> "GrossNumber":
-        return GrossNumber(tuple(t for t in self.terms if t.key > _FINITE_KEY))
+        return GrossNumber(t for t in self if t.key > _FINITE_KEY)
 
     def finite_part(self) -> "GrossNumber":
-        return GrossNumber(tuple(t for t in self.terms if t.key == _FINITE_KEY))
+        return GrossNumber(t for t in self if t.key == _FINITE_KEY)
 
     def infinitesimal_part(self) -> "GrossNumber":
-        return GrossNumber(tuple(t for t in self.terms if t.key < _FINITE_KEY))
+        return GrossNumber(t for t in self if t.key < _FINITE_KEY)
 
     def is_gross_integer(self) -> bool:
         """Whether this value denotes an integer under the divisibility axiom.
@@ -377,7 +441,7 @@ class GrossNumber:
         may carry any rational coefficient because G is divisible by every
         finite positive integer.
         """
-        for t in self.terms:
+        for t in self:
             if t.base != 1:
                 return False
             if t.gpow.denominator != 1 or t.gpow < 0:
@@ -387,7 +451,7 @@ class GrossNumber:
         return True
 
     def constant_coeff(self) -> RationalLike:
-        for t in self.terms:
+        for t in self:
             if t.key == _FINITE_KEY:
                 return t.coeff
         return 0
@@ -403,10 +467,10 @@ class GrossNumber:
     def as_rational(self) -> RationalLike:
         """The exact rational value of a finite pure number, an ``int`` when
         it is integral."""
-        if not self.terms:
+        if not self:
             return 0
-        if len(self.terms) == 1 and self.terms[0].key == _FINITE_KEY:
-            return self.terms[0].coeff
+        if len(self) == 1 and self[0].key == _FINITE_KEY:
+            return self[0].coeff
         raise NotRational(self)
 
     def eval_at(self, t: int) -> Fraction:
@@ -418,7 +482,7 @@ class GrossNumber:
         # powers may pass INT_POWER_BITS is summed as a Fraction.  Each
         # power is refused with TooLarge before it is built.
         num, den, large = 0, 1, 0
-        for c, b, p in self.terms:
+        for c, b, p in self:
             if type(p) is not int:
                 raise FractionalGrossPower(gnum(p))
             bn, bd = b.numerator, b.denominator  # equal only for b == 1
@@ -453,7 +517,7 @@ class GrossNumber:
         return f"GrossNumber({str(self)!r})"
 
 
-ZERO = GrossNumber(())
+ZERO = GrossNumber()
 ONE = GrossNumber((GrossTerm(1, 1, 0),))
 GROSSONE = GrossNumber((GrossTerm(1, 1, 1),))
 G = GROSSONE
@@ -483,10 +547,12 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
     # an integral base or G-power taken from the key as an int.  An int
     # coefficient adds to an entry of den 1 as it is.
     merged: dict = {}
+    ints = True  # every key so far has an integral base and G-power
     for c, b, p in raw:
         k = (b.numerator, b.denominator, p.numerator, p.denominator)
         entry = merged.get(k)
         if entry is None:
+            ints = ints and k[1] == k[3] == 1
             entry = merged[k] = [c, 1, k[0] if k[1] == 1 else b, k[2] if k[3] == 1 else p]
             if type(c) is not int:
                 entry[0], entry[1] = c.numerator, c.denominator
@@ -502,14 +568,18 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
                 entry[1] = e // g * d
     entries = merged.values()
     if len(merged) > 1:
-        # Over the common denominators, the scaled numerators order the keys
-        # as the Fractions do, and compare as plain ints.
-        lb = lcm(*(k[1] for k in merged))
-        lp = lcm(*(k[3] for k in merged))
-        entries = [merged[k] for k in sorted(
-            merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
-    return GrossNumber(tuple([
-        _new(GrossTerm, (n if d == 1 else _ratio(n, d), b, p)) for n, d, b, p in entries if n]))
+        if ints:
+            # Keys (b, 1, p, 1) order as the ints b, then p, do.
+            order = sorted(merged, reverse=True)
+        else:
+            # Over the common denominators, the scaled numerators order the
+            # keys as the Fractions do, and compare as plain ints.
+            lb = lcm(*(k[1] for k in merged))
+            lp = lcm(*(k[3] for k in merged))
+            order = sorted(merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)
+        entries = [merged[k] for k in order]
+    return GrossNumber([
+        _new(GrossTerm, (n if d == 1 else _ratio(n, d), b, p)) for n, d, b, p in entries if n])
 
 
 def compare(a: GrossNumber, b) -> int:
@@ -520,8 +590,8 @@ def compare(a: GrossNumber, b) -> int:
     compared as ``_add`` compares them, on ints, in the order base, G-power,
     coefficient; the sign of a coefficient is that of its numerator.
     """
-    x, y = a.terms, gnum(b).terms
-    for s, t in zip(x, y):
+    b = gnum(b)
+    for s, t in zip(a, b):
         u, v = s[1], t[1]
         if u is not v and (type(u) is not int or type(v) is not int):
             u, v = u.numerator * v.denominator, v.numerator * u.denominator
@@ -540,10 +610,10 @@ def compare(a: GrossNumber, b) -> int:
         if u > v:
             return 1 if s[0].numerator > 0 else -1
         return -1 if t[0].numerator > 0 else 1
-    if len(x) > len(y):
-        return 1 if x[len(y)][0].numerator > 0 else -1
-    if len(y) > len(x):
-        return -1 if y[len(x)][0].numerator > 0 else 1
+    if len(a) > len(b):
+        return 1 if a[len(b)][0].numerator > 0 else -1
+    if len(b) > len(a):
+        return -1 if b[len(a)][0].numerator > 0 else 1
     return 0
 
 
@@ -551,79 +621,7 @@ parity = GrossNumber.parity
 eval_at = GrossNumber.eval_at
 
 
-# -- division -----------------------------------------------------------------
-
-def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
-    """Exact quotient of gross-numbers.
-
-    A single-term divisor divides every term directly.  Otherwise graded long
-    division runs in descending key order and must leave remainder zero; the
-    quotient-term bounds below make inexactness detectable in finitely many
-    steps.  No approximate expansion (e.g. of ``1/(G+1)``) is ever produced.
-    Fields are computed on int numerators and denominators; a ``Fraction``
-    is built only for one that is not integral.
-    """
-    x, y = a.terms, b.terms
-    if not y:
-        raise DivisionByZero("division by zero")
-    if not x:
-        return ZERO
-    lc, lb, lp = y[0]
-    lcn, lcd, lbn, lbd = lc.numerator, lc.denominator, lb.numerator, lb.denominator
-    nlp = -lp
-    if len(y) == 1:
-        return GrossNumber(tuple([_new(GrossTerm, (
-            _ratio(c.numerator * lcd, c.denominator * lcn),
-            B if lbn == lbd else _key(B.numerator * lbd, B.denominator * lbn),
-            _plus(p, nlp))) for c, B, p in x]))
-
-    # For an exact quotient q the extreme layers of a = q*b cannot cancel,
-    # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
-    # G-power in [minP(a)-minP(b), maxP(a)-maxP(b)].  A candidate outside
-    # either interval proves the division inexact.  Terms are sorted by base
-    # first, so the extreme bases are the end terms; the base bounds are
-    # kept as int pairs (lo_n/lo_d, hi_n/hi_d) with positive denominators.
-    lo_a, lo_b, hi_a = x[-1][1], y[-1][1], x[0][1]
-    lo_n, lo_d = lo_a.numerator * lo_b.denominator, lo_a.denominator * lo_b.numerator
-    hi_n, hi_d = hi_a.numerator * lbd, hi_a.denominator * lbn
-    pow_lo = min([t[2] for t in x]) - min([t[2] for t in y])
-    pow_hi = max([t[2] for t in x]) - max([t[2] for t in y])
-
-    tail = [(c.numerator, c.denominator, B, B.numerator, B.denominator, p) for c, B, p in y[1:]]
-    low = x[-1]
-    quotient: list = []
-    rest = x
-    while rest:
-        # Trailing-term refusal, the cheap half of bidirectional exact
-        # division (Krandick and Jebelean, 1996).  The key order is
-        # compatible with multiplication, so the lowest term of a product
-        # q*b is q_low * b_low, with no cancellation.  While an exact
-        # division runs, rest equals the quotient terms not yet found times
-        # b, and q_low is among them; so rest's lowest term is always a's.
-        if rest[-1] != low:
-            raise NotExactlyDivisible(a, b)
-        # The next quotient term c/lc * (B/lb)^G * G^(p-lp), as cn/cd, bn/bd.
-        c, B, p = rest[0]
-        cn, cd = c.numerator * lcd, c.denominator * lcn
-        bn, bd = B.numerator * lbd, B.denominator * lbn
-        p = _plus(p, nlp)
-        if not (lo_n * bd <= bn * lo_d and bn * hi_d <= hi_n * bd and pow_lo <= p <= pow_hi):
-            raise NotExactlyDivisible(a, b)
-        qb = _key(bn, bd)
-        quotient.append(_new(GrossTerm, (_ratio(cn, cd), qb, p)))
-        # rest - t*b in one merge.  t*lead cancels rest's lead term exactly,
-        # and scaling by t (a positive base) keeps the key order of b's tail,
-        # so -(t * tail) is canonical as built.  Where either base is 1 the
-        # product base is the other one.
-        rest = (GrossNumber(rest[1:]) + GrossNumber(tuple([_new(GrossTerm, (
-            _ratio(-cn * tcn, cd * tcd),
-            tb if bn == bd else qb if tbn == tbd else _key(bn * tbn, bd * tbd),
-            p + tp if type(p) is int and type(tp) is int else _plus(p, tp)))
-            for tcn, tcd, tb, tbn, tbd, tp in tail]))).terms
-    # The lead key of ``rest`` falls at every step, so the quotient terms
-    # are already distinct, descending and nonzero.
-    return GrossNumber(tuple(quotient))
-
+# -- powers and roots ---------------------------------------------------------
 
 def _check_power(n: int, d: int, k: int) -> int:
     """A lower bound on the bits of ``(n/d) ** k`` (0 for ``n/d = ±1``), for a
@@ -646,15 +644,15 @@ def _power(x: RationalLike, k: int) -> RationalLike:
 def pow_int(a: GrossNumber, k: int) -> GrossNumber:
     """Exact integer power; ``a**0 == 1`` for nonzero ``a``."""
     if k == 0:
-        if not a.terms:
+        if not a:
             raise ZeroToZero("0^0 is undefined")
         return ONE
-    if not a.terms:
+    if not a:
         if k < 0:
             raise DivisionByZero("zero has no negative powers")
         return ZERO
-    if len(a.terms) == 1:
-        c, b, p = a.terms[0]
+    if len(a) == 1:
+        c, b, p = a[0]
         # 1 to any power is 1, and an int G-power times k is an int.
         c, b = (c if c == 1 else _power(c, k)), (b if b == 1 else _shared(_power(b, k)))
         return GrossNumber((_new(GrossTerm, (
@@ -663,7 +661,7 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         raise NegativePowerOfSum(a, k)
     # The first and last terms of a**k are those of a to the k-th power, as
     # no other product reaches their keys; refuse their fields at once.
-    for c, b, _ in (a.terms[0], a.terms[-1]):
+    for c, b, _ in (a[0], a[-1]):
         _check_power(c.numerator, c.denominator, k)
         _check_power(b.numerator, b.denominator, k)
     result = ONE
@@ -682,7 +680,7 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
 def _field_bits(a: GrossNumber) -> int:
     """The most bits of any numerator or denominator among ``a``'s fields."""
     return max(max(abs(c.numerator), c.denominator, b.numerator, b.denominator,
-                   abs(p.numerator), p.denominator) for c, b, p in a.terms).bit_length()
+                   abs(p.numerator), p.denominator) for c, b, p in a).bit_length()
 
 
 def _check_product(x: GrossNumber, y: GrossNumber) -> None:
@@ -690,7 +688,7 @@ def _check_product(x: GrossNumber, y: GrossNumber) -> None:
     need more than ``MAX_POWER_BITS`` bits, estimated as the bits of the
     largest field of each factor together, plus the bits of the number of
     term products that may add into one coefficient."""
-    bits = _field_bits(x) + _field_bits(y) + min(len(x.terms), len(y.terms)).bit_length()
+    bits = _field_bits(x) + _field_bits(y) + min(len(x), len(y)).bit_length()
     if bits > MAX_POWER_BITS:
         raise TooLarge(MAX_POWER_BITS)
 
@@ -698,7 +696,7 @@ def _check_product(x: GrossNumber, y: GrossNumber) -> None:
 def linear_gross_parts(e: GrossNumber) -> Tuple[int, int]:
     """Decompose ``e = a*G + d`` with integer a, d, or reject the shape."""
     parts = {1: 0, 0: 0}  # G-power -> integer coefficient
-    for t in e.terms:
+    for t in e:
         if t.base != 1 or t.gpow not in parts or t.coeff.denominator != 1:
             raise ExponentNotLinearInGrossone(e)
         parts[t.gpow] = int(t.coeff)
@@ -717,7 +715,7 @@ def exp_gross(b: RationalLike, e) -> GrossNumber:
     if base == 0:
         if e.sign() > 0:
             return ZERO
-        if not e.terms:
+        if not e:
             raise ZeroToZero("0^0 is undefined")
         raise DivisionByZero("zero has no negative powers")
     if base < 0:
@@ -767,11 +765,11 @@ def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     """Exact n-th root of a single-term number with a perfect-power coefficient."""
     if n <= 0:
         raise NotPositive("root degree must be a positive integer")
-    if not a.terms:
+    if not a:
         return ZERO
-    if len(a.terms) != 1:
+    if len(a) != 1:
         raise NotAMonomial(a)
-    t = a.terms[0]
+    t = a[0]
     if n == 1:
         return a
     if t.base != 1:
@@ -814,12 +812,12 @@ def _term_str(t: GrossTerm) -> str:
 
 def format_number(a: GrossNumber) -> str:
     """Canonical string form; injective on canonical values and reparseable."""
-    if not a.terms:
+    if not a:
         return "0"
-    first = a.terms[0]
+    first = a[0]
     try:
         out = ("-" if first.coeff.numerator < 0 else "") + _term_str(first)
-        for t in a.terms[1:]:
+        for t in a[1:]:
             out += " - " if t.coeff.numerator < 0 else " + "
             out += _term_str(t)
     except ValueError:  # str() of an int past the interpreter's digit limit

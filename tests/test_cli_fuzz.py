@@ -16,14 +16,18 @@ ROADMAP item:
 A second fuzz checks values: trees of ``+ - * /``, integer ``^``, numeric
 atoms and the builtins ``tri``, ``x2`` and ``card`` are evaluated by
 ``perfbench/oracle.py``, which shares no code with grossone, and the printed
-value must parse back to the oracle's.
+value must parse back to the oracle's.  sympy decides whether each quotient
+by a sum is exact, and the CLI must refuse exactly the inexact ones.
 """
 
 import contextlib
 import io
 import json
 from fractions import Fraction
+from math import lcm
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +146,47 @@ def quotient_holds(q: dict, a: dict, b: dict) -> bool:
         return oracle.mul(q, b) == a
 
 
+def exact_by_sympy(a: dict, b: dict) -> bool:
+    """Whether ``a / b`` is a finite sum of terms, decided by sympy.
+
+    With ``D`` the common denominator of every G-power, ``G^(1/D)`` is one
+    symbol and ``p^G`` another for each prime ``p`` of a base, so a term is
+    a monomial, with negative exponents where it divides.  The quotient of
+    two sums is then a sum of terms exactly when its reduced form has a
+    monomial denominator."""
+    g = sympy.Symbol("g")
+    d = lcm(*(p.denominator for _, p in [*a, *b]))
+    primes: dict = {}
+
+    def monomial(base: Fraction, gpow: Fraction):
+        m = g ** int(gpow * d)
+        for n, sign in ((base.numerator, 1), (base.denominator, -1)):
+            for prime, e in sympy.factorint(n).items():
+                m *= primes.setdefault(prime, sympy.Symbol(f"x{prime}")) ** (sign * e)
+        return m
+
+    def expr(x: dict):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * monomial(*k) for k, c in x.items()))
+
+    _, den = sympy.fraction(sympy.cancel(expr(a) / expr(b)))
+    return sympy.Poly(den, g, *primes.values()).is_monomial
+
+
+@pytest.mark.parametrize("dividend, divisor, exact", [
+    ("(G+1)*(G^2 - (1/2)^G)", "G+1", True),
+    ("4^G - 1", "2^G - 1", True),
+    ("G - 1", "G^(1/2) - 1", True),
+    ("G^2 + 1", "G + 1", False),
+    ("6^G - 3^G*G", "2^G - G", True),
+    ("G^2 + G^-1", "G - G^-1", False),
+])
+def test_sympy_and_the_cli_agree_on_exact_division(dividend, divisor, exact):
+    a, b = (oracle.parse(str(evaluate(x))) for x in (dividend, divisor))
+    assert exact_by_sympy(a, b) == exact
+    code, _, err = run([], f"({dividend}) / ({divisor})")
+    assert (code, "is not exactly divisible" in err) == ((0, False) if exact else (3, True)), err
+
+
 def value(tree) -> dict:
     """The tree's value by the oracle; raises Refused for an evaluation
     error.  A quotient by a sum takes the library's quotient, checked."""
@@ -183,13 +228,15 @@ def value(tree) -> dict:
         raise Refused("division by zero")
     if len(b) == 1 or not a:
         return oracle.div_monomial(a, b) if a else {}
+    exact = exact_by_sympy(a, b)
+    # A product divided by one of its factors is exact.
+    assert exact or tree[2][:2] != ("op", "*") or tree[2][3] != tree[3], text(tree)
     try:
         q = oracle.parse(str(evaluate(text(tree))))
     except NotExactlyDivisible:
-        # A product divided by one of its factors is exact.
-        assert tree[2][:2] != ("op", "*") or tree[2][3] != tree[3], text(tree)
+        assert not exact, text(tree)
         raise Refused("not exactly divisible") from None
-    assert quotient_holds(q, a, b), text(tree)
+    assert exact and quotient_holds(q, a, b), text(tree)
     return q
 
 

@@ -102,6 +102,16 @@ def ref_div_exact(a: GrossNumber, b: GrossNumber):
     return quotient, None
 
 
+def ref_normalize(raw) -> list:
+    """The sorted canonical terms of the triples ``raw``, merged in a dict."""
+    merged: dict = {}
+    for c, b, p in raw:
+        key = (Fraction(b), Fraction(p))
+        merged[key] = merged.get(key, 0) + Fraction(c)
+    return [(canonical(c), canonical(b), canonical(p))
+            for (b, p), c in sorted(merged.items(), reverse=True) if c]
+
+
 def assert_canonical(x: GrossNumber):
     for t in x.terms:
         for f in t:
@@ -263,6 +273,26 @@ def test_pinned_pairs(name):
     a, b, order = PINNED[name]
     assert compare(a, b) == order
     check_against_formulas(a, b)
+
+
+@pytest.mark.parametrize("integral_keys", [True, False], ids=["int keys", "Fraction keys"])
+def test_normalize_orders_keys_as_the_fractions_do(integral_keys):
+    # Keys whose bases and G-powers are all integral sort as they are; any
+    # other set of keys sorts over common denominators.  Coefficients and
+    # repeated keys are drawn alike on both routes.
+    rng = random.Random(f"normalize order {integral_keys}")
+    fields = [1, 2, 3, -1, 0, 5] if integral_keys else [1, 2, Fraction(1, 2), Fraction(3, 2), -1, Fraction(-2, 3)]
+    for _ in range(300):
+        raw = []
+        for _ in range(rng.randint(0, 9)):
+            c = rng.choice([1, -2, 7, Fraction(1, 3), Fraction(-5, 2)])
+            b = abs(rng.choice(fields)) or 1
+            raw.append((c, Fraction(b) if rng.random() < 0.3 else b, rng.choice(fields)))
+        if not integral_keys and raw:
+            raw.append((1, Fraction(2, 3), Fraction(1, 4)))
+        got = normalize(raw)
+        assert typed(got.terms) == typed(ref_normalize(raw)), raw
+        assert_canonical(got)
 
 
 def test_equal_fields_in_distinct_objects_merge():

@@ -2,17 +2,19 @@
 they copy and pickle to equal values."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from grossone import G, GrossNumber, evaluate
 from grossone.cli import main
 from grossone.errors import NotPositive
-from grossone.gnum import gnum
+from grossone.gnum import gnum, term
 from grossone.paradoxes import galileo_report
 from grossone.series import ramanujan_audit
 from grossone.sets import EMPTY, AdjustedSet, GrossAP, RootCount, add_finite, naturals, squares_count
@@ -69,6 +71,22 @@ def test_a_number_is_unchanged_by_a_refused_assignment():
     assert str(x) == "G + 1"
 
 
+def test_a_number_is_the_tuple_of_its_terms():
+    x = 2 * G - gnum(1) / 3
+    assert isinstance(x, tuple) and len(G + 1) == 2
+    assert list(x) == list(x.terms) and x[0] == x.terms[0] == (2, 1, 1)
+    assert type(x.terms) is tuple and x.terms == x == tuple(x)
+    assert not GrossNumber() and GrossNumber() == 0
+    assert GrossNumber([term(1, 1, 1), term(1)]) == G + 1
+    assert (1,) + x == (1, *x.terms) and type(x[1:]) is tuple
+    assert json.dumps(G + 1) == "[[1, 1, 1], [1, 1, 0]]"
+
+
+def test_a_number_is_unequal_by_value_not_as_a_tuple():
+    assert not gnum(3) != 3 and not 3 != gnum(3)
+    assert G != G + 1 and gnum(3) != Fraction(1, 3) and G + 1 != "G + 1"
+
+
 def test_value_records_are_tuples_of_their_fields():
     s = GrossAP(5, 1, G)
     first, step, count = s
@@ -104,9 +122,12 @@ def test_a_replaced_progression_is_checked_as_a_new_one():
 
 
 def test_a_report_is_not_taken_for_a_set_literal(capsys):
-    # A record is a tuple, but only a {...} literal gives a builtin its ints.
+    # A record or a number is a tuple, but only a {...} literal gives a
+    # builtin its ints.
     assert main(["--eval", "addf(nat(), galileo())"]) == 3
     assert capsys.readouterr() == ("", "error: addf: argument 2: expected a number\n")
+    assert main(["--eval", "addf(nat(), G + 1)"]) == 3
+    assert capsys.readouterr() == ("", "error: addf: argument 2: expected a finite integer\n")
     assert str(evaluate("addf(nat(), {0}, -1)")) == "AP(first=1, step=1, count=G) + {-1,0}"
 
 
