@@ -13,7 +13,7 @@ bases the larger power of G dominates.
 A :class:`GrossNumber` is the tuple of its canonical terms, each a
 :class:`GrossTerm`: ``len`` counts them, iteration and indexing give them from
 the leading term down, and the empty tuple is zero.  The ``terms`` property
-gives the same terms as a plain ``tuple``.
+gives them as a plain ``tuple``, which no number equals or is ordered against.
 
 Everything here is immutable and every operation is a pure function, so values
 can be shared freely across threads.  The one shared state is the cache of
@@ -174,18 +174,24 @@ def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) ->
     return GrossTerm(_rational(coeff), _shared(b), _shared(_rational(gpow)))
 
 
-def _operator(fn):
+def _operator(fn, tuples=None):
     """A binary dunder: ``fn(self, gnum(other))`` for a gross-number or
-    rational ``other``, ``NotImplemented`` for anything else."""
+    rational ``other``, ``NotImplemented`` for anything else but a plain tuple,
+    which ``tuples`` answers for a comparison: a number is a tuple, and tuple's
+    own reflected comparison would answer by the terms (``ZERO == ()``)."""
 
     def method(self, other):
         if type(other) is GrossNumber:
             return fn(self, other)
         if not isinstance(other, (GrossNumber, int, Fraction)):
-            return NotImplemented
+            return tuples(self, other) if tuples and isinstance(other, tuple) else NotImplemented
         return fn(self, gnum(other))
 
     return method
+
+
+def _unordered(a, b):
+    raise TypeError(f"a GrossNumber and a {type(b).__name__} are not ordered")
 
 
 def _add(x: "GrossNumber", y: "GrossNumber", subtract: bool = False) -> "GrossNumber":
@@ -396,13 +402,14 @@ class GrossNumber(tuple):
             return 0
         return 1 if self[0].coeff.numerator > 0 else -1
 
-    # tuple's own != would answer gnum(3) != 3 with True.
-    __eq__ = _operator(tuple.__eq__)
-    __ne__ = _operator(tuple.__ne__)
-    __lt__ = _operator(lambda a, b: compare(a, b) < 0)
-    __le__ = _operator(lambda a, b: compare(a, b) <= 0)
-    __gt__ = _operator(lambda a, b: compare(a, b) > 0)
-    __ge__ = _operator(lambda a, b: compare(a, b) >= 0)
+    # A number equals only numbers and rationals, as it hashes; tuple's own
+    # != would also answer gnum(3) != 3 with True.
+    __eq__ = _operator(tuple.__eq__, lambda a, b: False)
+    __ne__ = _operator(tuple.__ne__, lambda a, b: True)
+    __lt__ = _operator(lambda a, b: compare(a, b) < 0, _unordered)
+    __le__ = _operator(lambda a, b: compare(a, b) <= 0, _unordered)
+    __gt__ = _operator(lambda a, b: compare(a, b) > 0, _unordered)
+    __ge__ = _operator(lambda a, b: compare(a, b) >= 0, _unordered)
 
     def __hash__(self):
         # Equal values hash alike, and a finite pure number equals its rational.
@@ -547,12 +554,10 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
     # an integral base or G-power taken from the key as an int.  An int
     # coefficient adds to an entry of den 1 as it is.
     merged: dict = {}
-    ints = True  # every key so far has an integral base and G-power
     for c, b, p in raw:
         k = (b.numerator, b.denominator, p.numerator, p.denominator)
         entry = merged.get(k)
         if entry is None:
-            ints = ints and k[1] == k[3] == 1
             entry = merged[k] = [c, 1, k[0] if k[1] == 1 else b, k[2] if k[3] == 1 else p]
             if type(c) is not int:
                 entry[0], entry[1] = c.numerator, c.denominator
@@ -568,16 +573,12 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
                 entry[1] = e // g * d
     entries = merged.values()
     if len(merged) > 1:
-        if ints:
-            # Keys (b, 1, p, 1) order as the ints b, then p, do.
-            order = sorted(merged, reverse=True)
-        else:
-            # Over the common denominators, the scaled numerators order the
-            # keys as the Fractions do, and compare as plain ints.
-            lb = lcm(*(k[1] for k in merged))
-            lp = lcm(*(k[3] for k in merged))
-            order = sorted(merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)
-        entries = [merged[k] for k in order]
+        # Over the common denominators, the scaled numerators order the keys
+        # as the Fractions do, and compare as plain ints.
+        lb = lcm(*(k[1] for k in merged))
+        lp = lcm(*(k[3] for k in merged))
+        entries = [merged[k] for k in sorted(
+            merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
     return GrossNumber([
         _new(GrossTerm, (n if d == 1 else _ratio(n, d), b, p)) for n, d, b, p in entries if n])
 

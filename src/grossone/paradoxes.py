@@ -238,9 +238,9 @@ def torricelli(h=None) -> ParadoxReport:
     """
     h = gnum(h) if h is not None else G ** -1
     if (
-        len(h.terms) != 1
-        or h.terms[0].base != 1
-        or h.terms[0].coeff <= 0
+        len(h) != 1
+        or h[0].base != 1
+        or h[0].coeff <= 0
         or h.classify() is not NumberClass.INFINITESIMAL
     ):
         raise NotInfinitesimalWidth(h)

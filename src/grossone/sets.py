@@ -94,7 +94,7 @@ class RootCount(NamedTuple):
 
     def __str__(self) -> str:
         rad = str(self.radicand)
-        if len(self.radicand.terms) > 1:
+        if len(self.radicand) > 1:
             rad = f"({rad})"
         return f"floor({rad}^(1/{self.degree}))"
 

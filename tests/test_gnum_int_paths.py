@@ -277,9 +277,9 @@ def test_pinned_pairs(name):
 
 @pytest.mark.parametrize("integral_keys", [True, False], ids=["int keys", "Fraction keys"])
 def test_normalize_orders_keys_as_the_fractions_do(integral_keys):
-    # Keys whose bases and G-powers are all integral sort as they are; any
-    # other set of keys sorts over common denominators.  Coefficients and
-    # repeated keys are drawn alike on both routes.
+    # normalize sorts keys over the common denominators of their bases and
+    # G-powers, all 1 for int keys.  Coefficients and repeated keys are
+    # drawn alike for both kinds of key.
     rng = random.Random(f"normalize order {integral_keys}")
     fields = [1, 2, 3, -1, 0, 5] if integral_keys else [1, 2, Fraction(1, 2), Fraction(3, 2), -1, Fraction(-2, 3)]
     for _ in range(300):

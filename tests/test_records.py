@@ -3,6 +3,7 @@ they copy and pickle to equal values."""
 
 import copy
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from grossone import G, GrossNumber, evaluate
 from grossone.cli import main
 from grossone.errors import NotPositive
-from grossone.gnum import gnum, term
+from grossone.gnum import ZERO, gnum, term
 from grossone.paradoxes import galileo_report
 from grossone.series import ramanujan_audit
 from grossone.sets import EMPTY, AdjustedSet, GrossAP, RootCount, add_finite, naturals, squares_count
@@ -75,7 +76,7 @@ def test_a_number_is_the_tuple_of_its_terms():
     x = 2 * G - gnum(1) / 3
     assert isinstance(x, tuple) and len(G + 1) == 2
     assert list(x) == list(x.terms) and x[0] == x.terms[0] == (2, 1, 1)
-    assert type(x.terms) is tuple and x.terms == x == tuple(x)
+    assert type(x.terms) is tuple and x.terms == tuple(x)
     assert not GrossNumber() and GrossNumber() == 0
     assert GrossNumber([term(1, 1, 1), term(1)]) == G + 1
     assert (1,) + x == (1, *x.terms) and type(x[1:]) is tuple
@@ -85,6 +86,20 @@ def test_a_number_is_the_tuple_of_its_terms():
 def test_a_number_is_unequal_by_value_not_as_a_tuple():
     assert not gnum(3) != 3 and not 3 != gnum(3)
     assert G != G + 1 and gnum(3) != Fraction(1, 3) and G + 1 != "G + 1"
+
+
+@pytest.mark.parametrize("x", [ZERO, gnum(3), G + 1], ids=str)
+def test_a_number_equals_no_plain_tuple_of_its_terms(x):
+    # Equal values hash alike: gnum(3) equals 3 and hashes as 3, so it
+    # cannot also equal the tuple of its terms, which hashes otherwise.
+    plain = tuple(x)
+    assert x != plain and plain != x and not x == plain and not plain == x
+    assert len({x, plain}) == 2 and {x: 1}.get(plain) is None
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(x, plain)
+        with pytest.raises(TypeError):
+            op(plain, x)
 
 
 def test_value_records_are_tuples_of_their_fields():
