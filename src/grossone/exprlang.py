@@ -14,6 +14,13 @@ chain: ``1 < 2 < 3`` is a parse error, ``(1 < 2) < 3`` parses.  Every binary
 operator but ``^`` is one entry of :data:`BINARY_OPERATORS`, its level and its
 function, which the parser's one precedence-climbing loop and eval_expr read.
 
+The parser folds constants: a unary minus, ``^``, ``*`` or ``/`` over Literals
+becomes one :class:`Literal` of its value, computed by :func:`_apply` as
+evaluation would, and equal subexpressions share one Literal within a parse.
+A fold that raises keeps its operator node, so evaluation raises the error in
+its turn, after any parse error.  ``+``/``-`` chains, comparisons, calls and
+sets are not folded.
+
 The glyph for the infinite unit used in print is accepted as a synonym for
 ``G`` on input.  ``^`` routes by the value of its operands: an integer
 exponent is an exact power, a fractional one an exact root, and an exponent
@@ -33,6 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 from . import paradoxes, series, sets
 from .errors import (
     EvalTypeError,
+    GrossoneError,
     LexError,
     ParseError,
     UnknownIdentifier,
@@ -137,7 +145,7 @@ def tokenize(text: str) -> List[Token]:
 # Plain objects, so a walker reads a node's fields with vars(); none is changed.
 
 class Literal:
-    def __init__(self, value: GrossNumber):  # the value of an integer or G
+    def __init__(self, value: GrossNumber):  # of an integer, G or a folded operator
         self.value = value
 
 
@@ -177,7 +185,7 @@ class BinaryOperator(NamedTuple):
 COMPARISON, SUM, PRODUCT = 1, 2, 3
 
 # The one place a binary operator other than ``^`` is defined: the parser reads
-# its level, eval_expr its function (a number, or a bool for a comparison).
+# its level, _apply its function (a number, or a bool for a comparison).
 BINARY_OPERATORS = {
     "<": BinaryOperator(COMPARISON, operator.lt),
     "<=": BinaryOperator(COMPARISON, operator.le),
@@ -198,7 +206,9 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.literals: dict = {}  # lexeme -> its Literal, shared within this parse
+        # A lexeme, or a folded operator with the Literals it applies to
+        # (op, left, right), mapped to its Literal, shared within this parse.
+        self.literals: dict = {}
 
     def expect(self, kind: TokenKind, what: str) -> None:
         tok = self.tokens[self.pos]
@@ -221,9 +231,11 @@ class Parser:
         op = BINARY_OPERATORS.get(tok.lexeme)
         while op is not None and op.level >= least:
             self.pos += 1
-            # No binary operator binds tighter than * and /: their right side is one operand.
-            right = self.operand() if op.level == PRODUCT else self.expression(op.level + 1)
-            node = Binary(tok.lexeme, node, right)
+            if op.level == PRODUCT:
+                # No binary operator binds tighter than * and /: their right side is one operand.
+                node = self.fold(tok.lexeme, node, self.operand())
+            else:
+                node = Binary(tok.lexeme, node, self.expression(op.level + 1))
             if op.level == COMPARISON:
                 break
             tok = self.tokens[self.pos]
@@ -246,7 +258,7 @@ class Parser:
         else:
             self.depth += 1
             if kind is TokenKind.MINUS:
-                node = Unary("-", self.operand())
+                node = self.fold("-", None, self.operand())
             elif kind is TokenKind.LPAREN:
                 node = self.expression()
                 self.expect(TokenKind.RPAREN, "')'")
@@ -262,9 +274,27 @@ class Parser:
         # After a minus no ``^`` is left: the operand took it, so -x^y is -(x^y).
         if self.tokens[self.pos].kind is TokenKind.CARET:
             self.pos += 1
-            node = Binary("^", node, self.operand())
+            node = self.fold("^", node, self.operand())
         self.depth -= 1
         return node
+
+    def fold(self, op: str, left: Optional[Expr], right: Expr) -> Expr:
+        """The node of ``op`` over its operands (``left`` is None for a unary
+        minus).  Over Literals it is one Literal of the value, shared within
+        this parse, unless computing the value raises: the operator node is
+        then kept, and evaluation raises the same error in its turn."""
+        if type(right) is Literal and (left is None or type(left) is Literal):
+            key = (op, left, right)
+            node = self.literals.get(key)
+            if node is not None:
+                return node
+            try:
+                node = self.literals[key] = Literal(
+                    -right.value if left is None else _apply(op, left.value, right.value))
+                return node
+            except GrossoneError:
+                pass  # the operator node raises it again at evaluation
+        return Unary(op, right) if left is None else Binary(op, left, right)
 
     def literal(self, tok: Token) -> Literal:
         """A new Literal for an INT or G token, kept in ``literals``."""
@@ -493,6 +523,21 @@ def _eval_power(left: Value, right: Value) -> GrossNumber:
     return exp_gross(left.as_rational(), right)
 
 
+def _apply(op: str, lv: Value, rv: Value) -> Value:
+    """The value of ``lv op rv`` for one binary operator, from its operands'
+    values: eval_expr's and the parser's fold's one way to compute it."""
+    if op == "^":
+        return _eval_power(lv, rv)
+    if type(lv) is not GrossNumber:
+        lv = _number(op, 1, lv)
+    if type(rv) is not GrossNumber:
+        rv = _number(op, 2, rv)
+    spec = BINARY_OPERATORS.get(op)
+    if spec is None:
+        raise UnknownIdentifier(f"unknown operator '{op}'")
+    return spec.apply(lv, rv)
+
+
 _SUMS = ("+", "-")
 
 
@@ -528,17 +573,9 @@ def eval_expr(expr: Expr) -> Value:
             _sum_terms(expr, terms)
             return normalize(terms)
         lv = left.value if type(left) is Literal else eval_expr(left)
-        if op == "^":
-            return _eval_power(lv, right.value if type(right) is Literal else eval_expr(right))
-        if type(lv) is not GrossNumber:
-            lv = _number(op, 1, lv)
-        rv = right.value if type(right) is Literal else eval_expr(right)
-        if type(rv) is not GrossNumber:
-            rv = _number(op, 2, rv)
-        spec = BINARY_OPERATORS.get(op)
-        if spec is None:
-            raise UnknownIdentifier(f"unknown operator '{op}'")
-        return spec.apply(lv, rv)
+        if type(lv) is not GrossNumber and op != "^":
+            _number(op, 1, lv)  # argument 1 is checked before argument 2 is evaluated
+        return _apply(op, lv, right.value if type(right) is Literal else eval_expr(right))
     if cls is Literal:
         return expr.value
     if cls is Unary:

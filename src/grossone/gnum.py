@@ -574,11 +574,12 @@ def normalize(raw: Iterable[Tuple[RationalLike, RationalLike, RationalLike]]) ->
     entries = merged.values()
     if len(merged) > 1:
         # Over the common denominators, the scaled numerators order the keys
-        # as the Fractions do, and compare as plain ints.
+        # as the Fractions do, and compare as plain ints; keys of all-int
+        # bases and G-powers, (bn, 1, pn, 1), are in that order as they are.
         lb = lcm(*(k[1] for k in merged))
         lp = lcm(*(k[3] for k in merged))
-        entries = [merged[k] for k in sorted(
-            merged, key=lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3])), reverse=True)]
+        entries = [merged[k] for k in sorted(merged, reverse=True, key=None if lb == lp == 1 else (
+            lambda k: (k[0] * (lb // k[1]), k[2] * (lp // k[3]))))]
     return GrossNumber([
         _new(GrossTerm, (n if d == 1 else _ratio(n, d), b, p)) for n, d, b, p in entries if n])
 

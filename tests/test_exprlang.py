@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from grossone.errors import (
     CoefficientNotPerfectPower,
+    DivisionByZero,
     EvalTypeError,
     ExponentNotLinearInGrossone,
     LexError,
@@ -164,34 +165,36 @@ class TestParse:
 
     def test_a_chain_keeps_its_tree_and_shares_equal_literals(self):
         def shape(node):
-            if type(node) is Literal:
-                return "G" if node.value is GROSSONE else node.value.as_rational()
+            if type(node) is Name:
+                return node.ident
             if type(node) is Unary:
                 return (node.op, shape(node.operand))
             return (node.op, shape(node.left), shape(node.right))
 
-        tree = parse(tokenize("3*G^-2 + 3*G^2"))
-        assert shape(tree) == ("+", ("*", 3, ("^", "G", ("-", 2))), ("*", 3, ("^", "G", 2)))
+        # Identifier leaves are never folded, so every operator keeps its node.
+        tree = parse(tokenize("a*b^-c + a*b^c"))
+        assert shape(tree) == ("+", ("*", "a", ("^", "b", ("-", "c"))), ("*", "a", ("^", "b", "c")))
         assert type(tree.left.right.right) is Unary
         # One Literal per lexeme within a parse, a new one in the next parse.
+        tree = parse(tokenize("3*x^2 + 3*y^2"))
         assert tree.left.left is tree.right.left
-        assert tree.left.right.left is tree.right.right.left
+        assert tree.left.right.right is tree.right.right.right
         assert parse(tokenize("3")) is not parse(tokenize("3"))
 
     def test_power_binds_tighter_than_minus(self):
-        expr = parse(tokenize("2^G - 1"))
+        expr = parse(tokenize("a^b - c"))
         assert isinstance(expr, Binary) and expr.op == "-"
         assert isinstance(expr.left, Binary) and expr.left.op == "^"
 
     def test_mul_binds_tighter_than_plus(self):
-        expr = parse(tokenize("2*G + 1"))
+        expr = parse(tokenize("a*b + c"))
         assert expr.op == "+"
         assert expr.left.op == "*"
 
     def test_power_right_associative(self):
-        expr = parse(tokenize("2^2^3"))
+        expr = parse(tokenize("a^b^c"))
         assert expr.op == "^"
-        assert isinstance(expr.left, Literal)
+        assert isinstance(expr.left, Name)
         assert expr.right.op == "^"
 
     def test_comparison_is_binary(self):
@@ -244,6 +247,70 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse(tokenize("1 2"))
+
+
+class TestLiteralFold:
+    """A unary minus, ``^``, ``*`` or ``/`` over Literals parses to one Literal
+    of its value, shared within the parse, unless computing it raises."""
+
+    def test_equal_subexpressions_are_one_literal_per_parse(self):
+        text = "3*G^-2 + 3*G^-2"
+        tree = parse(tokenize(text))
+        assert type(tree) is Binary and tree.op == "+"
+        assert type(tree.left) is Literal and tree.left is tree.right
+        assert tree.left.value == 3 * GROSSONE ** -2
+        again = parse(tokenize(text))
+        assert again.left is not tree.left and again.left.value == tree.left.value
+
+    def test_each_folded_power_is_computed_once_per_parse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exprlang, "pow_int", lambda a, k: calls.append(k) or a**k)
+        assert print_value(evaluate("3*G^2 - 3*G^2 + 3*G^2 - G^-1 + G^-1")) == "3*G^2"
+        assert sorted(calls) == [-1, 2]
+
+    @pytest.mark.parametrize("text, unfolded", [
+        ("-G", Unary("-", Literal(GROSSONE))),
+        ("2^G", Binary("^", Literal(gnum(2)), Literal(GROSSONE))),
+        ("G/2*3", Binary("*", Binary("/", Literal(GROSSONE), Literal(gnum(2))), Literal(gnum(3)))),
+        ("-4^-(1/2)", Unary("-", Binary("^", Literal(gnum(4)), Unary(
+            "-", Binary("/", Literal(gnum(1)), Literal(gnum(2))))))),
+    ])
+    def test_a_fold_is_the_value_of_its_tree(self, text, unfolded):
+        tree = parse(tokenize(text))
+        assert type(tree) is Literal
+        want = eval_expr(unfolded)
+        assert typed(tree.value.terms) == typed(want.terms) and str(tree.value) == str(want)
+
+    @pytest.mark.parametrize("text", ["1 + 2", "2 - 1", "1 < 2", "tri(3)", "{1, 2}", "x * 2", "-x"])
+    def test_sums_comparisons_calls_sets_and_names_are_not_folded(self, text):
+        assert type(parse(tokenize(text))) is not Literal
+
+    @pytest.mark.parametrize("text, unfolded, error, message", [
+        ("(1/0)", Binary("/", Literal(gnum(1)), Literal(gnum(0))),
+         DivisionByZero, "division by zero"),
+        ("0^0", Binary("^", Literal(gnum(0)), Literal(gnum(0))),
+         ZeroToZero, "0^0 is undefined"),
+        ("G^G", Binary("^", Literal(GROSSONE), Literal(GROSSONE)),
+         EvalTypeError, "^: argument 1: a G-exponent needs a nonnegative rational base"),
+        ("2^(2^30)", Binary("^", Literal(gnum(2)), Literal(gnum(2**30))),
+         TooLarge, "a power would need more than 1048576 bits"),
+    ])
+    def test_a_fold_that_raises_is_left_to_evaluation(self, text, unfolded, error, message):
+        tree = parse(tokenize(text))
+        assert type(tree) is Binary
+        for expr in (tree, unfolded):
+            with pytest.raises(error) as err:
+                eval_expr(expr)
+            assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("0^0 + )", 6, "expression"),
+        ("(1/0) )", 6, "end of input"),
+    ])
+    def test_parse_errors_come_before_a_fold_error(self, text, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse(tokenize(text))
+        assert (err.value.offset, err.value.expected) == (offset, expected)
 
 
 class TestEval:
@@ -525,8 +592,10 @@ class TestRoundTrip:
 # --- precedence oracle -------------------------------------------------------
 #
 # Random expression trees over plain rationals, some under one comparison, are
-# rendered with minimal parentheses and reparsed.  The parse must give back the
-# same tree, and its value must match an independent Fraction evaluator.
+# rendered with minimal parentheses and reparsed.  Rendered with identifier
+# leaves, which the parser never folds, the parse must give back the same tree;
+# rendered with the literals, its value must match an independent Fraction
+# evaluator.
 
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
                 ">=": operator.ge, ">": operator.gt}
@@ -534,15 +603,17 @@ _PREC = {**dict.fromkeys(_COMPARISONS, 1), "+": 2, "-": 2, "*": 3, "/": 3,
          "neg": 4, "^": 5, "atom": 6}
 
 
-def render(expr, parent: int = 0) -> str:
+def render(expr, parent: int = 0, named: bool = False) -> str:
+    """The tree's text; ``named`` writes each literal ``n`` as the identifier ``xn``."""
     if isinstance(expr, Literal):
-        text, prec = str(expr.value.numerator), _PREC["atom"]
+        n = expr.value.numerator
+        text, prec = f"x{n}" if named else str(n), _PREC["atom"]
     elif isinstance(expr, Unary):
-        text, prec = "-" + render(expr.operand, _PREC["neg"]), _PREC["neg"]
+        text, prec = "-" + render(expr.operand, _PREC["neg"], named), _PREC["neg"]
     elif isinstance(expr, Binary):
         prec = _PREC[expr.op]
-        left = render(expr.left, prec if expr.op != "^" else prec + 1)
-        right = render(expr.right, prec + 1 if expr.op != "^" else prec)
+        left = render(expr.left, prec if expr.op != "^" else prec + 1, named)
+        right = render(expr.right, prec + 1 if expr.op != "^" else prec, named)
         text = f"{left} {expr.op} {right}" if expr.op != "^" else f"{left}^{right}"
     else:
         raise TypeError(expr)
@@ -550,10 +621,12 @@ def render(expr, parent: int = 0) -> str:
 
 
 def shape(expr):
-    """The tree as nested tuples, with each literal as its rational."""
+    """The tree as nested tuples, with each literal, or its name ``xn``, as its rational."""
     if isinstance(expr, Literal):
         value = expr.value
         return value if isinstance(value, Fraction) else value.as_rational()
+    if isinstance(expr, Name):
+        return Fraction(expr.ident[1:])
     if isinstance(expr, Unary):
         return (expr.op, shape(expr.operand))
     if isinstance(expr, Binary):
@@ -605,8 +678,9 @@ def comparison_trees(depth: int):
 
 @given(st.one_of(rational_trees(20), comparison_trees(10)))
 def test_precedence_matches_reference(tree):
+    # Identifier leaves are never folded: the parse gives back the tree itself.
+    assert shape(parse(tokenize(render(tree, named=True)))) == shape(tree)
     text = render(tree)
-    assert shape(parse(tokenize(text))) == shape(tree)
     try:
         expected = ref_eval(tree)
     except ZeroDivisionError:
