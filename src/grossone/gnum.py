@@ -166,6 +166,15 @@ def _rational(x: RationalLike) -> RationalLike:
     return _q(x)
 
 
+def _integer(x: RationalLike) -> int:
+    """An ``int``, or an integral ``Fraction`` as its ``int``; a float, a
+    string or any other rational is refused with ``TypeError``."""
+    x = _rational(x)
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x}")
+    return x
+
+
 def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) -> GrossTerm:
     """Build a term, coercing arguments to exact rationals."""
     b = _rational(base)
@@ -279,10 +288,22 @@ def _plus(u: RationalLike, v: RationalLike) -> RationalLike:
                 u.denominator * v.denominator)
 
 
+def _scale(x, c: RationalLike, B: RationalLike, p: RationalLike) -> "GrossNumber":
+    """The terms ``x`` times the one term ``c * B**G * G**p`` (``c`` nonzero,
+    ``B`` positive), with no merge: one positive factor on every base and one
+    shift of every G-power keep the key order, and nonzero coefficients have a
+    nonzero product.  A loop, as a comprehension before Python 3.12 is a
+    frame of its own, with a cell for each of ``c``, ``B`` and ``p``."""
+    out = []
+    for xc, xb, xp in x:
+        out.append(_new(GrossTerm, (_times(xc, c), _times(xb, B, _key), _plus(xp, p))))
+    return GrossNumber(out)
+
+
 def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     """Exact quotient of gross-numbers.
 
-    A single-term divisor divides every term directly.  Otherwise graded long
+    A single-term divisor scales ``a`` by its inverse.  Otherwise graded long
     division runs in descending key order and must leave remainder zero; the
     quotient-term bounds below make inexactness detectable in finitely many
     steps.  No approximate expansion (e.g. of ``1/(G+1)``) is ever produced.
@@ -297,10 +318,7 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     lcn, lcd, lbn, lbd = lc.numerator, lc.denominator, lb.numerator, lb.denominator
     nlp = -lp
     if len(b) == 1:
-        return GrossNumber([_new(GrossTerm, (
-            _ratio(c.numerator * lcd, c.denominator * lcn),
-            B if lbn == lbd else _key(B.numerator * lbd, B.denominator * lbn),
-            _plus(p, nlp))) for c, B, p in a])
+        return _scale(a, _ratio(lcd, lcn), _key(lbd, lbn), nlp)
 
     # For an exact quotient q the extreme layers of a = q*b cannot cancel,
     # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
@@ -314,7 +332,7 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
     pow_lo = min([t[2] for t in a]) - min([t[2] for t in b])
     pow_hi = max([t[2] for t in a]) - max([t[2] for t in b])
 
-    tail = [(c.numerator, c.denominator, B, B.numerator, B.denominator, p) for c, B, p in b[1:]]
+    tail = b[1:]
     low = a[-1]
     quotient: list = []
     rest = a
@@ -336,15 +354,8 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
             raise NotExactlyDivisible(a, b)
         qb = _key(bn, bd)
         quotient.append(_new(GrossTerm, (_ratio(cn, cd), qb, p)))
-        # rest - t*b in one merge.  t*lead cancels rest's lead term exactly,
-        # and scaling by t (a positive base) keeps the key order of b's tail,
-        # so -(t * tail) is canonical as built.  Where either base is 1 the
-        # product base is the other one.
-        rest = GrossNumber(rest[1:]) + GrossNumber([_new(GrossTerm, (
-            _ratio(-cn * tcn, cd * tcd),
-            tb if bn == bd else qb if tbn == tbd else _key(bn * tbn, bd * tbd),
-            p + tp if type(p) is int and type(tp) is int else _plus(p, tp)))
-            for tcn, tcd, tb, tbn, tbd, tp in tail])
+        # rest - t*b in one merge: t*lead cancels rest's lead term exactly.
+        rest = GrossNumber(rest[1:]) + _scale(tail, _ratio(-cn, cd), qb, p)
     # The lead key of ``rest`` falls at every step, so the quotient terms
     # are already distinct, descending and nonzero.
     return GrossNumber(quotient)
@@ -368,18 +379,15 @@ class GrossNumber(tuple):
 
     @_operator
     def __mul__(self, other):
-        if len(self) == 1 == len(other):
-            # A product of nonzero coefficients is nonzero and a product of
-            # positive bases is positive: one canonical term, with no merge.
-            (ca, ba, pa), (cb, bb, pb) = self[0], other[0]
-            return GrossNumber((_new(GrossTerm, (_times(ca, cb), _times(ba, bb, _key), _plus(pa, pb))),))
+        # A nonzero number times one term scales its terms in order; two
+        # sums, or a zero side, build the pairwise products and merge them.
+        if len(other) == 1 and self:
+            return _scale(self, *other[0])
+        if len(self) == 1 and other:
+            return _scale(other, *self[0])
         if len(self) * len(other) > MAX_PRODUCT_TERMS:
             raise TooManyTerms(MAX_PRODUCT_TERMS)
-        # Two int fields multiply, or add, inline; any other pair takes the
-        # helper, so a Fraction base is never compared with the base 1.
-        return normalize((ca * cb if type(ca) is int and type(cb) is int else _times(ca, cb),
-                          ba * bb if type(ba) is int and type(bb) is int else _times(ba, bb, _key),
-                          pa + pb if type(pa) is int and type(pb) is int else _plus(pa, pb))
+        return normalize((_times(ca, cb), _times(ba, bb, _key), _plus(pa, pb))
                          for ca, ba, pa in self for cb, bb, pb in other)
 
     __rmul__ = __mul__
@@ -482,6 +490,7 @@ class GrossNumber(tuple):
 
     def eval_at(self, t: int) -> Fraction:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
+        t = t if type(t) is int else _integer(t)
         if t <= 0:
             raise NotPositive("substitution point must be a positive integer")
         # Terms are summed in ints as num / den, over the lcm of their
@@ -645,6 +654,7 @@ def _power(x: RationalLike, k: int) -> RationalLike:
 
 def pow_int(a: GrossNumber, k: int) -> GrossNumber:
     """Exact integer power; ``a**0 == 1`` for nonzero ``a``."""
+    k = k if type(k) is int else _integer(k)
     if k == 0:
         if not a:
             raise ZeroToZero("0^0 is undefined")
@@ -765,6 +775,7 @@ def _ordinal_suffix(n: int) -> str:
 
 def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     """Exact n-th root of a single-term number with a perfect-power coefficient."""
+    n = _integer(n)
     if n <= 0:
         raise NotPositive("root degree must be a positive integer")
     if not a:

@@ -23,7 +23,7 @@ from .errors import (
     ResidueOutOfRange,
     format_int,
 )
-from .gnum import G, GrossNumber, floor_div_mod, gnum, nth_root, pow_int
+from .gnum import G, GrossNumber, _integer, floor_div_mod, gnum, nth_root, pow_int
 
 
 class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
@@ -33,7 +33,7 @@ class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
     __slots__ = ()
 
     def __new__(cls, first, step: int, count):
-        first, count = gnum(first), gnum(count)
+        first, count, step = gnum(first), gnum(count), _integer(step)
         if step <= 0:
             raise NotPositive("step must be a positive integer")
         if not count.is_gross_integer() or count.sign() <= 0:
@@ -201,6 +201,7 @@ def intersect(a: GrossAP, b: GrossAP):
 
 def scale(s: GrossAP, m: int) -> GrossAP:
     """Multiply every element by m; the element count is unchanged."""
+    m = _integer(m)
     if m <= 0:
         raise NotPositive("scale factor must be a positive integer")
     return GrossAP(s.first * m, s.step * m, s.count)
@@ -213,7 +214,7 @@ def _adjust(s: Union[GrossAP, AdjustedSet], elems, adding: bool) -> AdjustedSet:
     added = set(adj.added)
     removed = set(adj.removed)
     undo, record = (removed, added) if adding else (added, removed)
-    for x in sorted(set(int(e) for e in elems)):
+    for x in sorted(set(map(_integer, elems))):
         present = member(adj, x)
         if adding and present:
             raise ElementAlreadyPresent(x)

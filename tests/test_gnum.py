@@ -57,6 +57,8 @@ from grossone.errors import (
     ZeroToZero,
 )
 
+from conftest import typed
+
 
 class TestTermRecord:
     def test_a_term_is_a_tuple_with_named_fields(self):
@@ -620,6 +622,13 @@ RATIONAL_ONLY = {
     "geometric-ratio": lambda x: geometric(x, G),
 }
 
+# Each integer argument, called with 3.
+INTEGER_ONLY = {
+    "eval_at": lambda k: (G**2 + 1).eval_at(k),
+    "pow_int": lambda k: pow_int(4 * G, k),
+    "nth_root": lambda k: nth_root(64 * G**3, k),
+}
+
 
 class TestOperandCoercion:
     @pytest.mark.parametrize("op", sorted(OPERATORS))
@@ -647,6 +656,19 @@ class TestOperandCoercion:
     def test_a_float_or_a_string_is_not_a_rational(self, where, bad):
         with pytest.raises(TypeError):
             RATIONAL_ONLY[where](bad)
+
+    @pytest.mark.parametrize("bad", [2.5, "3", Fraction(3, 2)], ids=["float", "str", "Fraction"])
+    @pytest.mark.parametrize("where", sorted(INTEGER_ONLY))
+    def test_an_integer_argument_is_never_converted(self, where, bad):
+        with pytest.raises(TypeError):
+            INTEGER_ONLY[where](bad)
+
+    @pytest.mark.parametrize("where", sorted(INTEGER_ONLY))
+    def test_an_integral_fraction_acts_as_its_int(self, where):
+        got, want = INTEGER_ONLY[where](Fraction(3)), INTEGER_ONLY[where](3)
+        assert type(got) is type(want) and got == want
+        if isinstance(want, GrossNumber):
+            assert typed(got) == typed(want)
 
 
 def test_grossone_gnum_is_the_submodule():

@@ -338,8 +338,12 @@ def test_no_fraction_comparison_or_arithmetic_in_the_merge_the_order_and_product
     def run():
         for x, y in zip(operands, operands[1:]):
             x + y, x - y, x * y, compare(x, y), x < y, x == y
+            if y:
+                t = GrossNumber(y[:1])
+                x * t, x / t
 
-    called = fraction_calls({"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus", "normalize"}, run)
+    called = fraction_calls({"_add", "compare", "__mul__", "<genexpr>", "_times", "_plus", "normalize",
+                             "_scale"}, run)
     # A difference negates each term it copies from the subtrahend, which
     # builds that stored field; it compares and multiplies nothing.
     assert {name for _, name in called} <= {"numerator", "denominator", "__neg__"}, called
@@ -499,11 +503,14 @@ class TestProductBound:
         # (1 + G + G^2) * (1 + G + G^2 + G^3): 12 term products.
         assert wide(3) * wide(4) == normalize([term(min(p + 1, 3, 6 - p), 1, p) for p in range(6)])
         with pytest.raises(TooManyTerms):
-            wide(13) * wide(1)
+            wide(7) * wide(2)
 
     def test_a_product_of_single_terms_is_never_refused(self, monkeypatch):
         monkeypatch.setattr(gnum_module, "MAX_PRODUCT_TERMS", 0)
         assert (G * (2 * G)).terms == ((2, 1, 2),)
+        # A one-term side builds only as many terms as the other side has.
+        shifted = normalize([term(1, 1, p + 1) for p in range(13)])
+        assert wide(13) * G == shifted and G * wide(13) == shifted
 
     @pytest.mark.parametrize("line, message", [
         ("tri(" * 98 + "G" + ")" * 98, "a product would need more than 65536 term products"),

@@ -37,6 +37,29 @@ from grossone.sets import EMPTY, GrossAP
 from conftest import assert_set_matches, enum_integers, enum_residue_class, enum_set
 
 
+# Each integer argument, called with 3; evens() does not hold 3, naturals() does.
+INTEGER_ONLY = {
+    "GrossAP-step": lambda k: GrossAP(1, k, G),
+    "scale": lambda k: scale(naturals(), k),
+    "add_finite": lambda k: add_finite(evens(), [1, k]),
+    "remove_finite": lambda k: remove_finite(naturals(), [k, 5]),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", Fraction(3, 2)], ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize("where", sorted(INTEGER_ONLY))
+def test_an_integer_argument_is_never_converted(where, bad):
+    with pytest.raises(TypeError):
+        INTEGER_ONLY[where](bad)
+
+
+@pytest.mark.parametrize("where", sorted(INTEGER_ONLY))
+def test_an_integral_fraction_acts_as_its_int(where):
+    got, want = INTEGER_ONLY[where](Fraction(3)), INTEGER_ONLY[where](3)
+    # The repr shows a Fraction field as Fraction(3, 1).
+    assert got == want and repr(got) == repr(want)
+
+
 class TestConstructors:
     def test_naturals(self):
         n = ap_nat(1, 1)
