@@ -8,6 +8,9 @@ Grammar::
     primary    := INT | "G" | ident "(" args ")" | ident
                 | "(" expression ")" | "{" int-elements "}"
 
+A token is its lexeme, and the lexeme is its kind: :func:`tokenize` lists a
+line's lexemes, ``""`` last, with their byte offsets beside them.
+
 Binding, loosest first: the comparisons ``< <= = >= >``, then ``+ -``, then
 ``* /`` (left-associative), then unary minus, then ``^``.  Comparisons do not
 chain: ``1 < 2 < 3`` is a parse error, ``(1 < 2) < 3`` parses.  Every binary
@@ -19,7 +22,8 @@ becomes one :class:`Literal` of its value, computed by :func:`_apply` as
 evaluation would, and equal subexpressions share one Literal within a parse.
 A fold that raises keeps its operator node, so evaluation raises the error in
 its turn, after any parse error.  ``+``/``-`` chains, comparisons, calls and
-sets are not folded.
+sets are not folded, nor is a ``*`` or ``/`` whose operands' fields together
+pass ``MAX_POWER_BITS`` bits: its product is left to evaluation.
 
 The glyph for the infinite unit used in print is accepted as a synonym for
 ``G`` on input.  ``^`` routes by the value of its operands: an integer
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import operator
 import sys
-from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
@@ -48,9 +51,11 @@ from .errors import (
 )
 from .gnum import (
     GROSSONE,
+    MAX_POWER_BITS,
     GrossNumber,
     NumberClass,
     Parity,
+    _field_bits,
     exp_gross,
     gnum,
     normalize,
@@ -70,41 +75,25 @@ MAX_NESTING = 100
 
 # --- tokens -------------------------------------------------------------
 
-class TokenKind(Enum):
-    INT = "int"
-    G = "G"
-    IDENT = "ident"
-    PLUS = "+"
-    MINUS = "-"
-    STAR = "*"
-    SLASH = "/"
-    CARET = "^"
-    LPAREN = "("
-    RPAREN = ")"
-    LBRACE = "{"
-    RBRACE = "}"
-    COMMA = ","
-    CMP = "cmp"
-    END = "end"
+class Tokens(list):
+    """A line's lexemes, ``""`` last, with ``offsets[i]`` where lexeme ``i`` starts."""
+
+    __slots__ = ("offsets",)
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    lexeme: str
-    offset: int
+def tokenize(text: str) -> Tokens:
+    """Maximal-munch lexing into lexemes; integers are arbitrary precision.
 
-
-_SINGLE = {c: TokenKind(c) for c in "+-*/^(){},"}
-
-
-def tokenize(text: str) -> List[Token]:
-    """Maximal-munch lexing; integers are arbitrary precision.
-
-    Offsets count UTF-8 bytes; the offset is carried forward token by token,
-    and in ASCII text it is the character index.
+    A lexeme is its own kind: an integer starts with a decimal digit, ``G``
+    is the infinite unit (the glyph lexes as ``G``), any other word starting
+    with a letter or ``_`` is an identifier, every operator, bracket and
+    comparison is its own lexeme, and ``""`` is the end of input.  Offsets
+    count UTF-8 bytes; the offset is carried forward lexeme by lexeme, and in
+    ASCII text it is the character index.
     """
-    tokens: List[Token] = []
-    append, new = tokens.append, tuple.__new__  # a Token without its Python __new__
+    tokens = Tokens()
+    offsets = tokens.offsets = []
+    append, mark = tokens.append, offsets.append
     ascii_only = text.isascii()
     i = offset = 0
     n = len(text)
@@ -115,28 +104,28 @@ def tokenize(text: str) -> List[Token]:
             i, offset = j, offset + 1
             continue
         if c == GROSSONE_GLYPH:
-            kind, lexeme = TokenKind.G, "G"
+            lexeme = "G"
         elif c.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
-            kind, lexeme = TokenKind.INT, text[i:j]
+            lexeme = text[i:j]
         elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             lexeme = text[i:j]
-            kind = TokenKind.G if lexeme == "G" else TokenKind.IDENT
-        elif c in "<>=":
-            if c != "=" and text[j:j + 1] == "=":
-                j += 1
-            kind, lexeme = TokenKind.CMP, text[i:j]
-        elif c in _SINGLE:
-            kind, lexeme = _SINGLE[c], c
+        elif c in "<>" and text[j:j + 1] == "=":
+            j += 1
+            lexeme = text[i:j]
+        elif c in "+-*/^(){},<=>":
+            lexeme = c
         else:
             raise LexError(offset, c)
-        append(new(Token, (kind, lexeme, offset)))
+        append(lexeme)
+        mark(offset)
         offset = j if ascii_only else offset + len(text[i:j].encode("utf-8"))
         i = j
-    append(new(Token, (TokenKind.END, "", offset)))
+    append("")
+    mark(offset)
     return tokens
 
 
@@ -202,7 +191,7 @@ BINARY_OPERATORS = {
 class Parser:
     # Reads self.tokens[self.pos] directly: a method call per token was a
     # large share of the time spent parsing.
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -210,69 +199,74 @@ class Parser:
         # (op, left, right), mapped to its Literal, shared within this parse.
         self.literals: dict = {}
 
-    def expect(self, kind: TokenKind, what: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind is not kind:
-            raise ParseError(tok.offset, what)
+    def error(self, what: str, pos: int) -> ParseError:
+        """The error of expecting ``what`` at the lexeme at ``pos``."""
+        return ParseError(self.tokens.offsets[pos], what)
+
+    def expect(self, lexeme: str) -> None:
+        if self.tokens[self.pos] != lexeme:
+            raise self.error(f"'{lexeme}'", self.pos)
         self.pos += 1
 
     def parse(self) -> Expr:
         expr = self.expression()
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.END:
-            raise ParseError(tok.offset, "end of input")
+        if self.tokens[self.pos]:
+            raise self.error("end of input", self.pos)
         return expr
 
     def expression(self, least: int = COMPARISON) -> Expr:
         """Operands joined left to right by the binary operators of level
         ``least`` or tighter; a comparison ends it, so comparisons do not chain."""
         node = self.operand()
-        tok = self.tokens[self.pos]
-        op = BINARY_OPERATORS.get(tok.lexeme)
+        lexeme = self.tokens[self.pos]
+        op = BINARY_OPERATORS.get(lexeme)
         while op is not None and op.level >= least:
             self.pos += 1
             if op.level == PRODUCT:
                 # No binary operator binds tighter than * and /: their right side is one operand.
-                node = self.fold(tok.lexeme, node, self.operand())
+                node = self.fold(lexeme, node, self.operand())
             else:
-                node = Binary(tok.lexeme, node, self.expression(op.level + 1))
+                node = Binary(lexeme, node, self.expression(op.level + 1))
             if op.level == COMPARISON:
                 break
-            tok = self.tokens[self.pos]
-            op = BINARY_OPERATORS.get(tok.lexeme)
+            lexeme = self.tokens[self.pos]
+            op = BINARY_OPERATORS.get(lexeme)
         return node
 
     def operand(self) -> Expr:
         # Each call but a leaf's is one level of nesting: a unary minus, an
         # unfinished ``^`` exponent (right-associative), a bracket, a brace or a call.
-        tok = self.tokens[self.pos]
+        tokens, pos = self.tokens, self.pos
         if self.depth > MAX_NESTING:
-            raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting")
-        self.pos += 1
-        kind = tok.kind
-        if kind is TokenKind.INT or kind is TokenKind.G:
-            node = self.literals.get(tok.lexeme) or self.literal(tok)  # a Literal is never false
-            if self.tokens[self.pos].kind is not TokenKind.CARET:
+            raise self.error(f"at most {MAX_NESTING} levels of nesting", pos)
+        lexeme = tokens[pos]
+        self.pos = pos + 1
+        node = self.literals.get(lexeme)
+        if node is None and (lexeme == "G" or lexeme.isdecimal()):
+            node = self.literal(pos)
+        if node is not None:
+            if tokens[pos + 1] != "^":
                 return node  # a leaf
             self.depth += 1
         else:
             self.depth += 1
-            if kind is TokenKind.MINUS:
+            if lexeme == "-":
                 node = self.fold("-", None, self.operand())
-            elif kind is TokenKind.LPAREN:
+            elif lexeme == "(":
                 node = self.expression()
-                self.expect(TokenKind.RPAREN, "')'")
-            elif kind is TokenKind.LBRACE:
-                node = SetLit(self.items(TokenKind.RBRACE, "'}'"))
-            elif kind is TokenKind.IDENT and self.tokens[self.pos].kind is TokenKind.LPAREN:
-                self.pos += 1
-                node = Call(tok.lexeme, self.items(TokenKind.RPAREN, "')'"))
-            elif kind is TokenKind.IDENT:
-                node = Name(tok.lexeme)
+                self.expect(")")
+            elif lexeme == "{":
+                node = SetLit(self.items("}"))
+            elif lexeme[:1].isalpha() or lexeme[:1] == "_":
+                if tokens[pos + 1] == "(":
+                    self.pos += 1
+                    node = Call(lexeme, self.items(")"))
+                else:
+                    node = Name(lexeme)
             else:
-                raise ParseError(tok.offset, "expression")
+                raise self.error("expression", pos)
         # After a minus no ``^`` is left: the operand took it, so -x^y is -(x^y).
-        if self.tokens[self.pos].kind is TokenKind.CARET:
+        if tokens[self.pos] == "^":
             self.pos += 1
             node = self.fold("^", node, self.operand())
         self.depth -= 1
@@ -282,12 +276,16 @@ class Parser:
         """The node of ``op`` over its operands (``left`` is None for a unary
         minus).  Over Literals it is one Literal of the value, shared within
         this parse, unless computing the value raises: the operator node is
-        then kept, and evaluation raises the same error in its turn."""
+        then kept, and evaluation raises the same error in its turn.  So is a
+        product or quotient whose operands' fields together pass
+        ``MAX_POWER_BITS`` bits: evaluation computes it, after any parse error."""
         if type(right) is Literal and (left is None or type(left) is Literal):
             key = (op, left, right)
             node = self.literals.get(key)
             if node is not None:
                 return node
+            if op in "*/" and _field_bits(left.value) + _field_bits(right.value) > MAX_POWER_BITS:
+                return Binary(op, left, right)
             try:
                 node = self.literals[key] = Literal(
                     -right.value if left is None else _apply(op, left.value, right.value))
@@ -296,29 +294,30 @@ class Parser:
                 pass  # the operator node raises it again at evaluation
         return Unary(op, right) if left is None else Binary(op, left, right)
 
-    def literal(self, tok: Token) -> Literal:
-        """A new Literal for an INT or G token, kept in ``literals``."""
+    def literal(self, pos: int) -> Literal:
+        """A new Literal for the integer or ``G`` at ``pos``, kept in ``literals``."""
+        lexeme = self.tokens[pos]
         try:
-            value = GROSSONE if tok.kind is TokenKind.G else gnum(int(tok.lexeme))
+            value = GROSSONE if lexeme == "G" else gnum(int(lexeme))
         except ValueError:  # past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
-            raise ParseError(tok.offset, f"an integer of at most {limit} digits") from None
-        node = self.literals[tok.lexeme] = Literal(value)
+            raise self.error(f"an integer of at most {limit} digits", pos) from None
+        node = self.literals[lexeme] = Literal(value)
         return node
 
-    def items(self, close: TokenKind, what: str) -> Tuple[Expr, ...]:
+    def items(self, close: str) -> Tuple[Expr, ...]:
         """A comma-separated list of expressions up to and including ``close``."""
         items: List[Expr] = []
-        if self.tokens[self.pos].kind is not close:
+        if self.tokens[self.pos] != close:
             items.append(self.expression())
-            while self.tokens[self.pos].kind is TokenKind.COMMA:
+            while self.tokens[self.pos] == ",":
                 self.pos += 1
                 items.append(self.expression())
-        self.expect(close, what)
+        self.expect(close)
         return tuple(items)
 
 
-def parse(tokens: List[Token]) -> Expr:
+def parse(tokens: Tokens) -> Expr:
     return Parser(tokens).parse()
 
 

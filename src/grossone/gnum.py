@@ -690,9 +690,12 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
 
 
 def _field_bits(a: GrossNumber) -> int:
-    """The most bits of any numerator or denominator among ``a``'s fields."""
-    return max(max(abs(c.numerator), c.denominator, b.numerator, b.denominator,
-                   abs(p.numerator), p.denominator) for c, b, p in a).bit_length()
+    """The most bits of any numerator or denominator among ``a``'s fields (0 for zero)."""
+    fields = 0  # their OR has the bit length of their largest
+    for c, b, p in a:
+        fields |= (abs(c.numerator) | c.denominator | b.numerator | b.denominator
+                   | abs(p.numerator) | p.denominator)
+    return fields.bit_length()
 
 
 def _check_product(x: GrossNumber, y: GrossNumber) -> None:
@@ -741,6 +744,7 @@ def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
     The remainder comes from the constant term alone; every non-constant term
     is exactly divisible by ``n`` thanks to the divisibility axiom.
     """
+    n = _integer(n)
     if n <= 0:
         raise DivisionByZero("modulus must be a positive integer")
     if not x.is_gross_integer():

@@ -283,6 +283,11 @@ class TestPowerSizeLimit:
     def test_thomson_with_a_huge_switch_count(self, capsys):
         assert run(capsys, "paradox", "thomson", "--switches", "2^20000") == (3, "", self.ERR)
 
+    def test_a_parse_error_after_large_literal_products_is_reported_first(self, capsys):
+        # Folding these products at parse time would build a 12-million-bit number.
+        line = "7^370000*" * 12 + "7 + )"
+        assert run(capsys, "--eval", line) == (2, "", f"error: expected expression at offset {len(line) - 1}\n")
+
     def test_powers_of_one_and_of_g_have_no_limit(self, capsys):
         assert run(capsys, "--eval", "1^(10^9) + (-1)^(10^9+1) + G^(10^9)") == (0, "G^1000000000\n", "")
         assert run(capsys, "--eval", "1^(10^9*G)") == (0, "1\n", "")

@@ -441,6 +441,10 @@ class TestFloorDivMod:
         with pytest.raises(DivisionByZero):
             floor_div_mod(G, 0)
 
+    def test_an_integral_fraction_modulus_acts_as_its_int(self):
+        q, r = floor_div_mod(G + 1, Fraction(3))
+        assert typed(q.terms) == typed((G / 3).terms) and type(r) is int and r == 1
+
 
 class TestNthRoot:
     def test_sqrt_g(self):
@@ -627,6 +631,7 @@ INTEGER_ONLY = {
     "eval_at": lambda k: (G**2 + 1).eval_at(k),
     "pow_int": lambda k: pow_int(4 * G, k),
     "nth_root": lambda k: nth_root(64 * G**3, k),
+    "floor_div_mod": lambda k: floor_div_mod(G + 1, k),
 }
 
 
