@@ -91,7 +91,9 @@ def run_paradox(name: str, args: argparse.Namespace, as_json: bool) -> int:
     builtin, flags = PARADOXES[name]
     try:
         # Each flag value is an expression, evaluated as an argument of the builtin.
-        report = eval_expr(Call(builtin, tuple(parse(tokenize(getattr(args, f))) for f in flags)))
+        # A flag not given is left out, so the library's default applies.
+        values = (getattr(args, f) for f in flags)
+        report = eval_expr(Call(builtin, tuple(parse(tokenize(v)) for v in values if v is not None)))
     except GrossoneError as exc:
         return _error(exc)
     # Unlike --eval's, the report's JSON object carries no "type" key.
@@ -99,8 +101,7 @@ def run_paradox(name: str, args: argparse.Namespace, as_json: bool) -> int:
     return EXIT_OK if report.resolved else EXIT_EVAL
 
 
-def run_repl() -> int:
-    as_json = False
+def run_repl(as_json: bool) -> int:
     while True:
         sys.stdout.write("g> ")
         sys.stdout.flush()
@@ -130,10 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     par = sub.add_parser("paradox", help="print a named paradox report")
     par.add_argument("name", help="|".join(PARADOXES))
-    par.add_argument("--m", default="1", help="newcomers for hilbert (default 1)")
-    par.add_argument("--switches", default="G", help="switch count for thomson (default G)")
+    par.add_argument("--m", help="newcomers for hilbert (default 1)")
+    par.add_argument("--switches", help="switch count for thomson (default G)")
     par.add_argument("--initial", choices=["on", "off"], default="on", help="thomson start state")
-    par.add_argument("--h", default="G^-1", help="strip width for torricelli (default G^-1)")
+    par.add_argument("--h", help="strip width for torricelli (default G^-1)")
     par.add_argument(
         "--json", dest="json", action="store_true", default=argparse.SUPPRESS,
         help="emit the report as one JSON object",
@@ -153,7 +154,7 @@ def main(argv: Optional[list] = None) -> int:
         return _run_line(args.expr, args.json)
     if args.script is not None:
         return run_script(args.script, args.json)
-    return run_repl()
+    return run_repl(args.json)
 
 
 if __name__ == "__main__":

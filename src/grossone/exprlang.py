@@ -22,8 +22,9 @@ becomes one :class:`Literal` of its value, computed by :func:`_apply` as
 evaluation would, and equal subexpressions share one Literal within a parse.
 A fold that raises keeps its operator node, so evaluation raises the error in
 its turn, after any parse error.  ``+``/``-`` chains, comparisons, calls and
-sets are not folded, nor is a ``*`` or ``/`` whose operands' fields together
-pass ``MAX_POWER_BITS`` bits: its product is left to evaluation.
+sets are not folded, nor is a ``*`` or ``/`` that ``gnum._check_product``
+refuses, as it refuses a step of ``pow_int``: its product is left to
+evaluation.
 
 The glyph for the infinite unit used in print is accepted as a synonym for
 ``G`` on input.  ``^`` routes by the value of its operands: an integer
@@ -51,11 +52,10 @@ from .errors import (
 )
 from .gnum import (
     GROSSONE,
-    MAX_POWER_BITS,
     GrossNumber,
     NumberClass,
     Parity,
-    _field_bits,
+    _check_product,
     exp_gross,
     gnum,
     normalize,
@@ -277,21 +277,21 @@ class Parser:
         minus).  Over Literals it is one Literal of the value, shared within
         this parse, unless computing the value raises: the operator node is
         then kept, and evaluation raises the same error in its turn.  So is a
-        product or quotient whose operands' fields together pass
-        ``MAX_POWER_BITS`` bits: evaluation computes it, after any parse error."""
+        product or quotient that :func:`gnum._check_product` refuses:
+        evaluation computes it, after any parse error."""
         if type(right) is Literal and (left is None or type(left) is Literal):
             key = (op, left, right)
             node = self.literals.get(key)
             if node is not None:
                 return node
-            if op in "*/" and _field_bits(left.value) + _field_bits(right.value) > MAX_POWER_BITS:
-                return Binary(op, left, right)
             try:
+                if op in "*/":
+                    _check_product(left.value, right.value)
                 node = self.literals[key] = Literal(
                     -right.value if left is None else _apply(op, left.value, right.value))
                 return node
             except GrossoneError:
-                pass  # the operator node raises it again at evaluation
+                pass  # evaluation raises it again, or computes the product
         return Unary(op, right) if left is None else Binary(op, left, right)
 
     def literal(self, pos: int) -> Literal:
@@ -524,11 +524,11 @@ def _eval_power(left: Value, right: Value) -> GrossNumber:
 
 def _apply(op: str, lv: Value, rv: Value) -> Value:
     """The value of ``lv op rv`` for one binary operator, from its operands'
-    values: eval_expr's and the parser's fold's one way to compute it."""
+    values: eval_expr's and the parser's fold's one way to compute it.  For
+    any operator but ``^``, ``lv`` is a number: eval_expr checks it before it
+    evaluates ``rv``, and the fold passes only Literals."""
     if op == "^":
         return _eval_power(lv, rv)
-    if type(lv) is not GrossNumber:
-        lv = _number(op, 1, lv)
     if type(rv) is not GrossNumber:
         rv = _number(op, 2, rv)
     spec = BINARY_OPERATORS.get(op)

@@ -175,6 +175,22 @@ def _integer(x: RationalLike) -> int:
     return x
 
 
+def _positive(x: RationalLike, what: str, error=NotPositive) -> int:
+    """``_integer(x)``, refused with ``error`` unless it is positive."""
+    x = x if type(x) is int else _integer(x)
+    if x <= 0:
+        raise error(f"{what} must be a positive integer")
+    return x
+
+
+def _count(k, what: str, error=NotPositive) -> "GrossNumber":
+    """The count ``gnum(k)``, refused with ``error`` unless it is positive."""
+    k = gnum(k)
+    if k.sign() <= 0:
+        raise error(f"the number of {what} must be positive")
+    return k
+
+
 def term(coeff: RationalLike, base: RationalLike = 1, gpow: RationalLike = 0) -> GrossTerm:
     """Build a term, coercing arguments to exact rationals."""
     b = _rational(base)
@@ -321,14 +337,15 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         return _scale(a, _ratio(lcd, lcn), _key(lbd, lbn), nlp)
 
     # For an exact quotient q the extreme layers of a = q*b cannot cancel,
-    # so every term of q has base in [minB(a)/minB(b), maxB(a)/maxB(b)] and
-    # G-power in [minP(a)-minP(b), maxP(a)-maxP(b)].  A candidate outside
-    # either interval proves the division inexact.  Terms are sorted by base
-    # first, so the extreme bases are the end terms; the base bounds are
-    # kept as int pairs (lo_n/lo_d, hi_n/hi_d) with positive denominators.
-    lo_a, lo_b, hi_a = a[-1][1], b[-1][1], a[0][1]
+    # so every term of q has base at least minB(a)/minB(b) and G-power in
+    # [minP(a)-minP(b), maxP(a)-maxP(b)]; a candidate outside proves the
+    # division inexact.  The G-power floor ends the loop: without it,
+    # (2^G + 1)/(1 + G^-1) steps on forever.  The base floor and G-power
+    # ceiling only refuse early.  Every key of rest stays at or below a's
+    # lead key, so no base ceiling is needed.  The least bases are the last
+    # terms; lo_n/lo_d keeps the base floor as ints, lo_d positive.
+    lo_a, lo_b = a[-1][1], b[-1][1]
     lo_n, lo_d = lo_a.numerator * lo_b.denominator, lo_a.denominator * lo_b.numerator
-    hi_n, hi_d = hi_a.numerator * lbd, hi_a.denominator * lbn
     pow_lo = min([t[2] for t in a]) - min([t[2] for t in b])
     pow_hi = max([t[2] for t in a]) - max([t[2] for t in b])
 
@@ -350,7 +367,7 @@ def div_exact(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         cn, cd = c.numerator * lcd, c.denominator * lcn
         bn, bd = B.numerator * lbd, B.denominator * lbn
         p = _plus(p, nlp)
-        if not (lo_n * bd <= bn * lo_d and bn * hi_d <= hi_n * bd and pow_lo <= p <= pow_hi):
+        if not (lo_n * bd <= bn * lo_d and pow_lo <= p <= pow_hi):
             raise NotExactlyDivisible(a, b)
         qb = _key(bn, bd)
         quotient.append(_new(GrossTerm, (_ratio(cn, cd), qb, p)))
@@ -490,9 +507,7 @@ class GrossNumber(tuple):
 
     def eval_at(self, t: int) -> Fraction:
         """Substitute the finite integer ``t`` for G and evaluate exactly."""
-        t = t if type(t) is int else _integer(t)
-        if t <= 0:
-            raise NotPositive("substitution point must be a positive integer")
+        t = _positive(t, "substitution point")
         # Terms are summed in ints as num / den, over the lcm of their
         # denominators, with one Fraction built at the end; a term whose
         # powers may pass INT_POWER_BITS is summed as a Fraction.  Each
@@ -665,8 +680,8 @@ def pow_int(a: GrossNumber, k: int) -> GrossNumber:
         return ZERO
     if len(a) == 1:
         c, b, p = a[0]
-        # 1 to any power is 1, and an int G-power times k is an int.
-        c, b = (c if c == 1 else _power(c, k)), (b if b == 1 else _shared(_power(b, k)))
+        # An int G-power times k is an int.
+        c, b = _power(c, k), _shared(_power(b, k))
         return GrossNumber((_new(GrossTerm, (
             c, b, p * k if type(p) is int else _key(p.numerator * k, p.denominator))),))
     if k < 0:
@@ -744,9 +759,7 @@ def floor_div_mod(x: GrossNumber, n: int) -> Tuple[GrossNumber, int]:
     The remainder comes from the constant term alone; every non-constant term
     is exactly divisible by ``n`` thanks to the divisibility axiom.
     """
-    n = _integer(n)
-    if n <= 0:
-        raise DivisionByZero("modulus must be a positive integer")
+    n = _positive(n, "modulus", DivisionByZero)
     if not x.is_gross_integer():
         raise NotAGrossInteger(x)
     r = int(x.constant_coeff()) % n
@@ -779,9 +792,7 @@ def _ordinal_suffix(n: int) -> str:
 
 def nth_root(a: GrossNumber, n: int) -> GrossNumber:
     """Exact n-th root of a single-term number with a perfect-power coefficient."""
-    n = _integer(n)
-    if n <= 0:
-        raise NotPositive("root degree must be a positive integer")
+    n = _positive(n, "root degree")
     if not a:
         return ZERO
     if len(a) != 1:

@@ -12,8 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .errors import CountNotGrossInteger, NotInfinitesimalWidth, NotPositive, TooManyNewcomers
-from .gnum import G, NumberClass, Parity, exp_gross, gnum
+from .errors import CountNotGrossInteger, NotInfinitesimalWidth, TooManyNewcomers
+from .gnum import G, NumberClass, Parity, _count, exp_gross, gnum
 from .series import ap_sum, geometric
 from .sets import (
     GrossAP,
@@ -191,9 +191,7 @@ def thomson_lamp(initial: LampState, switches=None) -> ParadoxReport:
     lamp ends in the starting configuration when the number of switches is
     odd and in the opposite one when it is even.
     """
-    switches = G if switches is None else gnum(switches)
-    if switches.sign() <= 0:
-        raise NotPositive("the number of switches must be positive")
+    switches = G if switches is None else _count(switches, "switches")
     par = switches.parity()
     final = initial.toggled() if par is Parity.EVEN else initial
     elapsed = geometric(Fraction(1, 2), switches)

@@ -23,7 +23,7 @@ from .errors import (
     ResidueOutOfRange,
     format_int,
 )
-from .gnum import G, GrossNumber, _integer, floor_div_mod, gnum, nth_root, pow_int
+from .gnum import G, GrossNumber, _integer, _positive, floor_div_mod, gnum, nth_root, pow_int
 
 
 class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
@@ -33,9 +33,7 @@ class GrossAP(NamedTuple("GrossAP", [("first", GrossNumber), ("step", int),
     __slots__ = ()
 
     def __new__(cls, first, step: int, count):
-        first, count, step = gnum(first), gnum(count), _integer(step)
-        if step <= 0:
-            raise NotPositive("step must be a positive integer")
+        first, count, step = gnum(first), gnum(count), _positive(step, "step")
         if not count.is_gross_integer() or count.sign() <= 0:
             raise NotPositive("count must be a positive gross-integer")
         return super().__new__(cls, first, step, count)
@@ -201,9 +199,7 @@ def intersect(a: GrossAP, b: GrossAP):
 
 def scale(s: GrossAP, m: int) -> GrossAP:
     """Multiply every element by m; the element count is unchanged."""
-    m = _integer(m)
-    if m <= 0:
-        raise NotPositive("scale factor must be a positive integer")
+    m = _positive(m, "scale factor")
     return GrossAP(s.first * m, s.step * m, s.count)
 
 

@@ -4,15 +4,17 @@ which a call is evaluated, and the exit codes of the errors it reports."""
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from grossone import GrossAP, G, LampState, naturals
 from grossone.cli import PARADOXES, main
-from grossone.errors import NotPositive
+from grossone.errors import DivisionByZero, ExponentNotLinearInGrossone, NotAGrossInteger, NotPositive
 from grossone.exprlang import BUILTINS, Call, evaluate, parse, print_value, tokenize, value_json
+from grossone.gnum import floor_div_mod, nth_root
 from grossone.paradoxes import thomson_lamp
-from grossone.series import grandi_rearranged, powers_of_two_sum
+from grossone.series import grandi, grandi_rearranged, powers_of_two_sum
 from grossone.sets import scale
 
 
@@ -331,6 +333,34 @@ GALILEO_PARADOX_JSON = (
 )
 
 
+# ``paradox NAME --json`` without its flags: the library's own defaults, as
+# the CLI printed them when it also wrote them out (--m 1, --switches G,
+# --h G^-1).  galileo, which has no flags, is pinned above.
+FLAGLESS_PARADOX_JSON = {
+    "hilbert": (
+        '{"name": "hilbert", "claims": [{"desc": "newcomers occupy the freed '
+        'rooms", "value": "AP(first=1, step=1, count=1) with count 1", "ok": '
+        'true}, {"desc": "guests of the last m rooms are evicted", "value": '
+        '"AP(first=G, step=1, count=1)", "ok": true}, {"desc": "occupancy is '
+        'conserved", "value": "G = (G - 1) + (1)", "ok": true}], "resolved": true}\n'
+    ),
+    "thomson": (
+        '{"name": "thomson", "claims": [{"desc": "after G switches the lamp '
+        'is", "value": "off", "ok": true}, {"desc": "elapsed time", "value": '
+        '"1 - (1/2)^G", "ok": true}, {"desc": "the minute is never completed", '
+        '"value": "1 - elapsed = (1/2)^G", "ok": true}], "resolved": true}\n'
+    ),
+    "torricelli": (
+        '{"name": "torricelli", "claims": [{"desc": "strips per triangle", '
+        '"value": "G", "ok": true}, {"desc": "corner triangle area", "value": '
+        '"G^-2", "ok": true}, {"desc": "upper triangle area", "value": "1", '
+        '"ok": true}, {"desc": "lower triangle area", "value": "1", "ok": true}, '
+        '{"desc": "the two areas agree", "value": "1 = 1", "ok": true}], '
+        '"resolved": true}\n'
+    ),
+}
+
+
 def _called_names(expr) -> set:
     """The builtins a syntax tree calls; a node's children are the syntax-tree
     objects among its attributes."""
@@ -366,6 +396,11 @@ def test_paradox_json_differs_from_eval_json_only_by_type(capsys):
     eval_obj = json.loads(PINNED["galileo()"][1])
     assert eval_obj.pop("type") == "report"
     assert json.loads(GALILEO_PARADOX_JSON) == eval_obj
+
+
+@pytest.mark.parametrize("name", sorted(FLAGLESS_PARADOX_JSON))
+def test_a_paradox_without_flags_reports_the_library_defaults(capsys, name):
+    assert run(capsys, "--json", "paradox", name) == (0, FLAGLESS_PARADOX_JSON[name], "")
 
 
 @pytest.mark.parametrize("argv, expr", [
@@ -473,3 +508,46 @@ def test_not_positive_is_a_value_error_of_the_package(make):
     with pytest.raises(NotPositive) as err:
         make()
     assert isinstance(err.value, ValueError)
+
+
+NOT_AN_INTEGER = (TypeError, "expected an integer, got 3/2")
+
+# Each site of the library's two argument rules, called with k: a positive
+# integer ("... must be a positive integer") and a positive count ("the number
+# of ... must be positive").  0 and -1 raise the rule's class and message, the
+# first pair; the non-integer 3/2 raises the site's own refusal, the second.
+ARGUMENT_RULES = {
+    "eval_at": (lambda k: (G + 1).eval_at(k),
+                NotPositive, "substitution point must be a positive integer", *NOT_AN_INTEGER),
+    "nth_root": (lambda k: nth_root(G, k),
+                 NotPositive, "root degree must be a positive integer", *NOT_AN_INTEGER),
+    "floor_div_mod": (lambda k: floor_div_mod(G + 1, k),
+                      DivisionByZero, "modulus must be a positive integer", *NOT_AN_INTEGER),
+    "GrossAP-step": (lambda k: GrossAP(1, k, G),
+                     NotPositive, "step must be a positive integer", *NOT_AN_INTEGER),
+    "scale": (lambda k: scale(naturals(), k),
+              NotPositive, "scale factor must be a positive integer", *NOT_AN_INTEGER),
+    "powers_of_two_sum": (powers_of_two_sum,
+                          NotPositive, "the number of addends must be positive",
+                          ExponentNotLinearInGrossone, "exponent 3/2 is not of the form a*G + d"),
+    # A bare ValueError, as perfbench pins it (ROADMAP).
+    "grandi": (grandi,
+               ValueError, "the number of addends must be positive",
+               NotAGrossInteger, "3/2 is not a gross-integer"),
+    "grandi_rearranged": (grandi_rearranged,
+                          NotPositive, "the number of addends must be positive",
+                          NotAGrossInteger, "3/2 is not a gross-integer"),
+    "thomson_lamp": (lambda k: thomson_lamp(LampState.ON, k),
+                     NotPositive, "the number of switches must be positive",
+                     NotAGrossInteger, "3/2 is not a gross-integer"),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1, Fraction(3, 2)], ids=["0", "-1", "3/2"])
+@pytest.mark.parametrize("site", sorted(ARGUMENT_RULES))
+def test_each_argument_rule_raises_its_class_and_message(site, k):
+    call, *outcomes = ARGUMENT_RULES[site]
+    error, message = outcomes[2:] if type(k) is Fraction else outcomes[:2]
+    with pytest.raises(error) as err:
+        call(k)
+    assert type(err.value) is error and str(err.value) == message

@@ -492,3 +492,11 @@ class TestRunnersPinned:
             "g> G + 1\n" "g> "
         )
         assert captured.err == (EVAL_MESSAGE + LEX_MESSAGE) * 2
+
+    def test_repl_starts_in_json_mode_with_json(self, monkeypatch, capsys):
+        lines = [VALUE, EVAL_ERROR, ":json", VALUE, ":quit"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{x}\n" for x in lines)))
+        assert main(["--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "g> " + VALUE_JSON + "g> g> g> G + 1\n" "g> "
+        assert captured.err == EVAL_MESSAGE

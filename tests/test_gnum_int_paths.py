@@ -482,6 +482,34 @@ def test_the_trailing_term_check_never_refuses_an_exact_division(monkeypatch):
     assert len(merges) == len(q.terms)
 
 
+TWO_G = gnum_module.exp_gross(2, G)
+
+
+# One inexact division per refusal rule of the long division, with the steps
+# that run before that rule refuses it; without the rule, more steps run.
+# Only the G-power floor ends (2^G + 1)/(1 + G^-1): without it the steps
+# never end, so a step past the 50th fails the test.
+@pytest.mark.parametrize("a, b, steps", [
+    (G - G**-2 - gnum_module.exp_gross(Fraction(1, 2), G) * G, 1 - G, 4),
+    (TWO_G, TWO_G + 1, 0),
+    (TWO_G + 1, 1 + G**-1, 0),
+    (TWO_G * G + 1, TWO_G + G, 0),
+], ids=["trailing-term", "base-floor", "G-power-floor", "G-power-ceiling"])
+def test_each_refusal_rule_stops_an_inexact_division(monkeypatch, a, b, steps):
+    merges = []
+    add = GrossNumber.__add__
+
+    def counted(x, y):
+        merges.append(1)
+        assert len(merges) <= 50, "the long division runs on"
+        return add(x, y)
+
+    monkeypatch.setattr(GrossNumber, "__add__", counted)
+    with pytest.raises(NotExactlyDivisible):
+        div_exact(a, b)
+    assert len(merges) == steps
+
+
 # -- bounds -------------------------------------------------------------------------
 
 def wide(n: int) -> GrossNumber:

@@ -19,7 +19,7 @@ from grossone import (
     triangular,
 )
 from grossone.gnum import gnum
-from grossone.errors import ExponentNotLinearInGrossone, OddLength, UnitRatio
+from grossone.errors import ExponentNotLinearInGrossone, NotPositive, OddLength, UnitRatio
 
 
 def direct_ap_sum(first: Fraction, step: Fraction, count: int) -> Fraction:
@@ -96,6 +96,12 @@ class TestPowersOfTwo:
     def test_rejects_nonlinear(self):
         with pytest.raises(ExponentNotLinearInGrossone):
             powers_of_two_sum(G**2)
+
+    def test_a_negative_count_is_refused_by_its_sign_after_its_shape(self):
+        with pytest.raises(NotPositive):
+            powers_of_two_sum(-G)
+        with pytest.raises(ExponentNotLinearInGrossone):
+            powers_of_two_sum(-G**2)
 
     def test_finite_consistency(self):
         for k in range(1, 201):
